@@ -391,6 +391,33 @@ func BenchmarkExhaustiveMixedEngineParallelCCC4F2(b *testing.B) {
 	}
 }
 
+// BenchmarkExhaustiveMixedBoundedParallelCCC4F2 runs the same parallel
+// mixed search on the branch-and-bound executor: work-stealing clones
+// share one (score, unit) incumbent.
+func BenchmarkExhaustiveMixedBoundedParallelCCC4F2(b *testing.B) {
+	r := ccc4Circular(b)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res := eval.MaxDiameterMixedParallel(r, 2, eval.Config{Mode: eval.Exhaustive, Bounded: true}, 0)
+		if res.Evaluated != 12881 {
+			b.Fatalf("evaluated %d", res.Evaluated)
+		}
+	}
+}
+
+// BenchmarkProfileMixedCCC4F2 is the per-size mixed profile over the
+// same 12881 sets, which always runs on the parallel branch-and-bound
+// executor, without a witness.
+func BenchmarkProfileMixedCCC4F2(b *testing.B) {
+	r := ccc4Circular(b)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if p := eval.ProfileMixed(r, 2, eval.Config{Mode: eval.Exhaustive}); len(p) != 3 {
+			b.Fatalf("profile %v", p)
+		}
+	}
+}
+
 // --- Static-failover benchmarks (see internal/routing failover) ---
 //
 // The anchor instance again: CCC(4) circular reinforced with 2 backup

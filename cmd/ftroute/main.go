@@ -75,7 +75,7 @@ func run(args []string) error {
 		samples      = fs.Int("samples", 200, "random fault sets when not exhaustive")
 		exhaustive   = fs.Bool("exhaustive", false, "enumerate all fault sets (exponential)")
 		pruned       = fs.Bool("pruned", false, "exhaustive searches: evaluate one fault set per automorphism orbit when the routing respects the symmetry (falls back silently otherwise)")
-		bounded      = fs.Bool("bounded", false, "exhaustive searches: branch-and-bound, skipping fault sets that provably cannot beat the incumbent worst diameter (bit-identical results, see docs/perf.md)")
+		bounded      = fs.Bool("bounded", false, "exhaustive worst-case searches: branch-and-bound, skipping fault sets that provably cannot beat the incumbent worst diameter (bit-identical results; per-size profiles always run this way, see docs/perf.md)")
 		mixed        = fs.Bool("mixed", false, "tolerate/failover: spend the fault budget on nodes and links combined")
 		lambda       = fs.Float64("lambda", 0, "failover -mixed: weight of skipped pairs in the adversary objective disrupted+lambda*skipped")
 		table        = fs.String("table", "", "routing-table file for export/check")

@@ -7,40 +7,67 @@ import (
 	"ftroute/internal/graph"
 )
 
-// This file implements Config.Bounded: branch-and-bound exhaustive
-// adversary search. The plain searches compute the full diameter of
-// every surviving graph; the bounded searches thread a best-so-far
-// score through the enumeration (an atomic shared across workers in the
-// parallel paths) and evaluate each fault set with the pivot-pruned
-// diameterAbove kernel instead, so sets that cannot beat the incumbent
-// cost ~2 BFS rather than n. Two invariants make the results
+// This file implements Config.Bounded and the exhaustive Profile path:
+// branch-and-bound exhaustive adversary search. The plain searches
+// compute the full diameter of every surviving graph; the bounded
+// search threads a best-so-far score through the enumeration and
+// evaluates each fault set with the pivot-pruned diameterAbove kernel
+// instead, so sets that cannot beat the incumbent cost ~2 BFS rather
+// than n.
+//
+// Every bounded search runs on one executor, bbSearch: the root (empty)
+// set, then numbered work units stolen by workers on engine clones (the
+// serial search is one worker on the caller's engine), merged in unit
+// order. A unit is either the subtree of sets whose smallest item is a
+// given item (exact-size or size-1..f walk) or a chunk of an orbit-
+// pruned representative list. Three invariants make the results
 // bit-identical to the plain search:
 //
-//   - The skip threshold for a set is max(bestShared−1, localMax), never
-//     bestShared itself. Ties with the global best are still evaluated
-//     exactly, so the first set in enumeration order achieving the final
-//     maximum always records an exact diameter and owns the witness,
-//     under any parallel interleaving (the ordered merge then replays
-//     sub-results in enumeration order, exactly like the plain search).
+//   - The incumbent is a (score, unit) pair: a higher score wins and,
+//     on a tie, the earlier unit wins. A set of unit u skips at the
+//     incumbent score when that score came from an earlier unit, and at
+//     score−1 otherwise. A tie can only own the first-in-order witness
+//     when no earlier unit holds the score, so the first set achieving
+//     the final maximum is always measured exactly under any parallel
+//     interleaving, and the ordered merge keeps it.
 //   - Disconnection freezes a result in the plain search while the
 //     enumeration keeps counting. The bounded search skips the frozen
-//     remainder outright — no fault toggles, no BFS — and reconstructs
-//     Evaluated combinatorially with countSets. In the parallel paths an
-//     atomic earliest-disconnected-unit index lets workers turn whole
-//     units after it into count-only no-ops; units before it still run,
-//     because their own (enumeration-earlier) disconnection would win.
+//     remainder outright — no toggles, no BFS — and counts Evaluated
+//     combinatorially. An atomic earliest-disconnected-unit index turns
+//     every later unit into a count-only no-op; earlier units still
+//     run, because their own disconnection would win.
+//   - A disconnected result also reports the largest diameter before
+//     the disconnecting set. A unit that skipped a set under a score
+//     borrowed from a unit after the disconnection may have missed that
+//     prefix maximum, so such a run is replayed on one worker, where no
+//     score is ever borrowed from a later unit.
+//
+// Profile mode drops the witness: every incumbent counts as earlier (so
+// ties skip too) and the first disconnection stops every worker.
 //
 // Legacy Survivors without route enumeration ignore Bounded and take
 // the plain path, as do the Sampled-mode searches (each sample is an
 // independent SetFaults, so there is no enumeration tree to prune).
 
-// diamBound is the shared best-so-far diameter: workers publish exact
-// diameters as they find them and read the bound when folding. The zero
-// value means "no incumbent yet" (Load−1 = −1 disables the skip test).
-type diamBound struct{ v atomic.Int64 }
+// incumbent is the shared best-so-far, packed as score<<32|(unitMask−unit)
+// so one atomic max orders it: a higher score wins, then an earlier
+// unit. The zero value is score 0 from a unit after every real one.
+type incumbent struct{ v atomic.Int64 }
 
-func (b *diamBound) Load() int { return int(b.v.Load()) }
-func (b *diamBound) Max(d int) { casMax(&b.v, int64(d)) }
+const unitMask = 1<<32 - 1
+
+func (b *incumbent) raise(score, unit int) { casMax(&b.v, int64(score)<<32|int64(unitMask-unit)) }
+
+// limit is the skip threshold for a set of unit u, and the unit the
+// incumbent came from.
+func (b *incumbent) limit(u int, tiesLose bool) (limit, from int) {
+	p := b.v.Load()
+	score, from := int(p>>32), unitMask-int(p&unitMask)
+	if tiesLose || from < u {
+		return score, from
+	}
+	return score - 1, from
+}
 
 // casMax raises a to at least v.
 func casMax(a *atomic.Int64, v int64) {
@@ -92,512 +119,208 @@ func countSets(avail, left int) int {
 	return total
 }
 
-// foldBounded is fold through the branch-and-bound kernel: identical
-// res mutations, ~2 BFS instead of n when the set cannot beat
-// max(best−1, res.MaxDiameter). Callers freeze-skip disconnected
-// results, so a frozen res only needs its Evaluated count maintained.
-func (e *Engine) foldBounded(res *Result, best *diamBound) { e.foldBoundedW(res, 1, best) }
+// bbSearch is one branch-and-bound exhaustive search over the item
+// universe of n nodes followed by edges (nil for node faults); the
+// walk closures hold the universe.
+type bbSearch struct {
+	root    bool // the empty set is evaluated (as unit 0)
+	units   int  // work units 1..units
+	profile bool // witness-free: ties always skip, the first disconnection stops all
+	// walk evaluates unit u's sets on c, which it restores; skip is the
+	// number of sets in unit u.
+	walk func(c *Engine, u int, res *MixedResult)
+	skip func(u int) int
 
-// foldBoundedW is foldBounded counting the set for mult evaluations,
-// the bounded counterpart of foldW for the orbit-pruned walks.
-func (e *Engine) foldBoundedW(res *Result, mult int, best *diamBound) {
-	res.Evaluated += mult
-	if e.aliveCount <= 1 || res.Disconnected {
-		return
-	}
-	limit := res.MaxDiameter
-	if b := best.Load() - 1; b > limit {
-		limit = b
-	}
-	diam, above, connected := e.diameterAbove(limit)
-	if !connected {
-		res.Disconnected = true
-		res.WorstFaults = e.faults.Clone()
-		return
-	}
-	if above && diam > res.MaxDiameter {
-		res.MaxDiameter = diam
-		res.WorstFaults = e.faults.Clone()
-		best.Max(diam)
-	}
+	best   incumbent
+	disc   atomic.Int64 // earliest disconnecting unit
+	borrow []int        // per unit: latest later unit whose score skipped one of its sets
 }
 
-// foldMixedBounded and foldMixedBoundedW are the mixed-universe
-// counterparts of foldBounded/foldBoundedW.
-func (e *Engine) foldMixedBounded(res *MixedResult, best *diamBound) {
-	e.foldMixedBoundedW(res, 1, best)
-}
-
-func (e *Engine) foldMixedBoundedW(res *MixedResult, mult int, best *diamBound) {
-	res.Evaluated += mult
-	if e.aliveCount <= 1 || res.Disconnected {
-		return
+// firstItemSearch enumerates fault sets of size 1..f (exact false, plus
+// the empty set) or of size exactly f over the n+len(edges) item
+// universe in preorder; unit u is the subtree of sets whose smallest
+// item is u−1.
+func firstItemSearch(n int, edges [][2]int, f int, exact bool) *bbSearch {
+	items := n + len(edges)
+	count := countSets
+	if exact {
+		count = countChoose
 	}
-	limit := res.MaxDiameter
-	if b := best.Load() - 1; b > limit {
-		limit = b
+	s := &bbSearch{root: !exact || f <= 0}
+	if f > 0 {
+		s.units = items
 	}
-	diam, above, connected := e.diameterAbove(limit)
-	if !connected {
-		res.Disconnected = true
-		res.WorstNodeFaults = e.faults.Clone()
-		res.WorstEdgeFaults = e.EdgeFaults()
-		return
-	}
-	if above && diam > res.MaxDiameter {
-		res.MaxDiameter = diam
-		res.WorstNodeFaults = e.faults.Clone()
-		res.WorstEdgeFaults = e.EdgeFaults()
-		best.Max(diam)
-	}
-}
-
-// exhaustiveBounded is the branch-and-bound exhaustive node-fault
-// search, bit-identical to exhaustive on the engine path.
-func (e *Engine) exhaustiveBounded(f int) Result {
-	if f < 0 {
-		f = 0
-	}
-	res := Result{WorstFaults: graph.NewBitset(e.n)}
-	var best diamBound
-	e.foldBounded(&res, &best)
-	e.descendBounded(0, f, &res, &best)
-	return res
-}
-
-// descendBounded is descend with the incumbent bound threaded through
-// and frozen subtrees counted instead of walked.
-func (e *Engine) descendBounded(start, left int, res *Result, best *diamBound) {
-	if left == 0 {
-		return
-	}
-	for v := start; v < e.n; v++ {
-		if res.Disconnected {
-			res.Evaluated += countSets(e.n-v, left)
-			return
-		}
-		e.AddFault(v)
-		e.foldBounded(res, best)
-		e.descendBounded(v+1, left-1, res, best)
-		e.RemoveFault(v)
-	}
-}
-
-// exhaustiveBoundedParallel is exhaustiveParallel with the shared
-// incumbent bound and an earliest-disconnected-unit index: units after
-// a disconnecting unit contribute only their combinatorial Evaluated
-// count, because the ordered merge discards their scores anyway.
-func (e *Engine) exhaustiveBoundedParallel(f, workers int) Result {
-	n := e.n
-	merged := Result{WorstFaults: graph.NewBitset(n)}
-	var best diamBound
-	e.foldBounded(&merged, &best)
-	if f <= 0 || n == 0 {
-		return merged
-	}
-	if merged.Disconnected {
-		merged.Evaluated += countSets(n, f)
-		return merged
-	}
-	if workers > n {
-		workers = n
-	}
-	per := make([]Result, n)
-	var nextUnit, discUnit atomic.Int64
-	discUnit.Store(int64(n))
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var c *Engine
-			for {
-				v := int(nextUnit.Add(1)) - 1
-				if v >= n {
-					return
-				}
-				if int64(v) > discUnit.Load() {
-					per[v] = Result{Evaluated: 1 + countSets(n-v-1, f-1)}
-					continue
-				}
-				if c == nil {
-					c = e.Clone()
-				}
-				res := Result{WorstFaults: graph.NewBitset(n)}
-				c.AddFault(v)
-				c.foldBounded(&res, &best)
-				c.descendBounded(v+1, f-1, &res, &best)
-				c.RemoveFault(v)
-				if res.Disconnected {
-					casMin(&discUnit, int64(v))
-				}
-				per[v] = res
-			}
-		}()
-	}
-	wg.Wait()
-	for _, r := range per {
-		mergeOrdered(&merged, r)
-	}
-	return merged
-}
-
-// exhaustiveExactBounded enumerates fault sets of size exactly k with
-// the branch-and-bound kernel — the bounded path under Profile.
-func (e *Engine) exhaustiveExactBounded(k int) Result {
-	res := Result{WorstFaults: graph.NewBitset(e.n)}
-	var best diamBound
-	var rec func(start, left int)
-	rec = func(start, left int) {
-		if left == 0 {
-			e.foldBounded(&res, &best)
-			return
-		}
-		if e.n-start < left {
-			return
-		}
-		for v := start; v < e.n; v++ {
-			if res.Disconnected {
-				res.Evaluated += countChoose(e.n-v, left)
+	// descend walks the sets extending c's current set with left more
+	// items from start..end−1, counting them once frozen.
+	var descend func(c *Engine, u, start, end, left int, res *MixedResult)
+	descend = func(c *Engine, u, start, end, left int, res *MixedResult) {
+		for v := start; v < end; v++ {
+			if res.Disconnected || s.frozen(u) {
+				res.Evaluated += count(items-v, left) - count(items-end, left)
 				return
 			}
-			e.AddFault(v)
-			rec(v+1, left-1)
-			e.RemoveFault(v)
+			c.toggleItem(v, edges, true)
+			if !exact || left == 1 {
+				s.fold(c, u, 1, res)
+			}
+			if left > 1 {
+				descend(c, u, v+1, items, left-1, res)
+			}
+			c.toggleItem(v, edges, false)
 		}
 	}
-	rec(0, k)
-	return res
+	s.walk = func(c *Engine, u int, res *MixedResult) { descend(c, u, u-1, u, f, res) }
+	s.skip = func(u int) int { return count(items-u+1, f) - count(items-u, f) }
+	return s
 }
 
-// exhaustiveMixedBounded is exhaustiveBounded over the n+m mixed item
-// universe.
-func (e *Engine) exhaustiveMixedBounded(f int, edges [][2]int) MixedResult {
-	if f < 0 {
-		f = 0
+// prunedSearch walks an orbit-pruned plan (the empty set first, then
+// every representative weighted by its orbit size) in contiguous
+// chunks, each replayed from the empty set with applyDiff.
+func prunedSearch(plan *prunedReps, edges [][2]int, workers int) *bbSearch {
+	reps := len(plan.sets)
+	chunk := planChunk(reps, workers)
+	s := &bbSearch{root: true, units: (reps + chunk - 1) / chunk}
+	span := func(u int) (lo, hi int) { return (u - 1) * chunk, min(u*chunk, reps) }
+	orbits := func(lo, hi int) (sets int) {
+		for _, m := range plan.mults[lo:hi] {
+			sets += m
+		}
+		return sets
 	}
-	res := MixedResult{WorstNodeFaults: graph.NewBitset(e.n)}
-	var best diamBound
-	e.foldMixedBounded(&res, &best)
-	e.descendMixedBounded(0, f, edges, &res, &best)
-	return res
+	s.walk = func(c *Engine, u int, res *MixedResult) {
+		lo, hi := span(u)
+		toggle := func(v int, add bool) { c.toggleItem(v, edges, add) }
+		var cur []int
+		for i := lo; i < hi; i++ {
+			if res.Disconnected || s.frozen(u) {
+				res.Evaluated += orbits(i, hi)
+				break
+			}
+			cur = applyDiff(cur, plan.sets[i], toggle)
+			s.fold(c, u, plan.mults[i], res)
+		}
+		for _, v := range cur {
+			c.toggleItem(v, edges, false)
+		}
+	}
+	s.skip = func(u int) int { return orbits(span(u)) }
+	return s
 }
 
-// descendMixedBounded is descendMixed with the incumbent bound and
-// frozen-subtree counting.
-func (e *Engine) descendMixedBounded(start, left int, edges [][2]int, res *MixedResult, best *diamBound) {
-	if left == 0 {
+// frozen reports whether unit u's remaining sets can only be counted:
+// an earlier unit disconnected (or, in profile mode, any unit did).
+func (s *bbSearch) frozen(u int) bool {
+	d := s.disc.Load()
+	return int64(u) > d || (s.profile && d <= int64(s.units))
+}
+
+// fold evaluates c's current set, standing for mult sets of unit u,
+// into res against the incumbent.
+func (s *bbSearch) fold(c *Engine, u, mult int, res *MixedResult) {
+	res.Evaluated += mult
+	if c.aliveCount <= 1 || res.Disconnected {
 		return
 	}
-	items := e.n + len(edges)
-	for v := start; v < items; v++ {
-		if res.Disconnected {
-			res.Evaluated += countSets(items-v, left)
-			return
-		}
-		e.toggleItem(v, edges, true)
-		e.foldMixedBounded(res, best)
-		e.descendMixedBounded(v+1, left-1, edges, res, best)
-		e.toggleItem(v, edges, false)
+	limit, from := s.best.limit(u, s.profile)
+	if limit <= res.MaxDiameter {
+		limit, from = res.MaxDiameter, u
+	}
+	diam, above, connected := c.diameterAbove(limit)
+	switch {
+	case !connected:
+		res.Disconnected = true
+		s.witness(c, res)
+		casMin(&s.disc, int64(u))
+	case above:
+		res.MaxDiameter = diam
+		s.witness(c, res)
+		s.best.raise(diam, u)
+	case from > s.borrow[u]:
+		s.borrow[u] = from
 	}
 }
 
-// exhaustiveMixedBoundedParallel is exhaustiveMixedParallel with the
-// shared bound and earliest-disconnected-unit skipping.
-func (e *Engine) exhaustiveMixedBoundedParallel(f, workers int, edges [][2]int) MixedResult {
-	n := e.n
-	items := n + len(edges)
-	merged := MixedResult{WorstNodeFaults: graph.NewBitset(n)}
-	var best diamBound
-	e.foldMixedBounded(&merged, &best)
-	if f <= 0 || items == 0 {
-		return merged
+// witness records c's current set as res's witness, outside profile
+// mode.
+func (s *bbSearch) witness(c *Engine, res *MixedResult) {
+	if !s.profile {
+		res.WorstNodeFaults = c.faults.Clone()
+		res.WorstEdgeFaults = c.EdgeFaults()
 	}
-	if merged.Disconnected {
-		merged.Evaluated += countSets(items, f)
-		return merged
+}
+
+// exec runs the search on len(clones) workers and returns the ordered
+// merge. Worker 0 runs on e; clones[w] for w > 0 are made before the
+// workers start (e is not quiescent after) and kept, so callers running
+// several searches reuse them. Every engine ends fault-free.
+func (s *bbSearch) exec(e *Engine, clones []*Engine) MixedResult {
+	clones = clones[:max(1, min(len(clones), s.units))]
+	clones[0] = e
+	for w, c := range clones {
+		if c == nil {
+			clones[w] = e.Clone()
+		}
 	}
-	if workers > items {
-		workers = items
+	s.disc.Store(int64(s.units) + 1)
+	s.borrow = make([]int, s.units+1)
+	per := make([]MixedResult, s.units+1)
+	per[0].WorstNodeFaults = graph.NewBitset(e.n)
+	if s.root {
+		s.fold(e, 0, 1, &per[0])
 	}
-	per := make([]MixedResult, items)
-	var nextUnit, discUnit atomic.Int64
-	discUnit.Store(int64(items))
+	var next atomic.Int64
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for w := range clones {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			var c *Engine
 			for {
-				v := int(nextUnit.Add(1)) - 1
-				if v >= items {
+				u := int(next.Add(1))
+				if u > s.units {
 					return
 				}
-				if int64(v) > discUnit.Load() {
-					per[v] = MixedResult{Evaluated: 1 + countSets(items-v-1, f-1)}
+				if s.frozen(u) {
+					per[u].Evaluated = s.skip(u)
 					continue
 				}
-				if c == nil {
-					c = e.Clone()
-				}
-				res := MixedResult{WorstNodeFaults: graph.NewBitset(n)}
-				c.toggleItem(v, edges, true)
-				c.foldMixedBounded(&res, &best)
-				c.descendMixedBounded(v+1, f-1, edges, &res, &best)
-				c.toggleItem(v, edges, false)
-				if res.Disconnected {
-					casMin(&discUnit, int64(v))
-				}
-				per[v] = res
+				s.walk(clones[w], u, &per[u])
 			}
 		}()
 	}
 	wg.Wait()
-	for _, r := range per {
+	merged := per[0]
+	for _, r := range per[1:] {
 		mergeOrderedMixed(&merged, r)
 	}
+	if merged.Disconnected && !s.profile {
+		d := int(s.disc.Load())
+		for _, from := range s.borrow[:d+1] {
+			if from > d {
+				s.best.v.Store(0)
+				return s.exec(e, clones[:1])
+			}
+		}
+	}
 	return merged
 }
 
-// exhaustiveExactMixedBounded is exhaustiveExactBounded over the mixed
-// item universe.
-func (e *Engine) exhaustiveExactMixedBounded(k int, edges [][2]int) MixedResult {
-	res := MixedResult{WorstNodeFaults: graph.NewBitset(e.n)}
-	var best diamBound
-	items := e.n + len(edges)
-	var rec func(start, left int)
-	rec = func(start, left int) {
-		if left == 0 {
-			e.foldMixedBounded(&res, &best)
-			return
-		}
-		if items-start < left {
-			return
-		}
-		for v := start; v < items; v++ {
-			if res.Disconnected {
-				res.Evaluated += countChoose(items-v, left)
-				return
-			}
-			e.toggleItem(v, edges, true)
-			rec(v+1, left-1)
-			e.toggleItem(v, edges, false)
-		}
-	}
-	rec(0, k)
-	return res
+// boundedSearch is the exhaustive branch-and-bound search over fault
+// sets of size 0..f of the n+len(edges) item universe on workers
+// engines, bit-identical to the plain search.
+func (e *Engine) boundedSearch(edges [][2]int, f, workers int) MixedResult {
+	return firstItemSearch(e.n, edges, max(f, 0), false).exec(e, make([]*Engine, workers))
 }
 
-// evalPrunedBounded is evalPruned with the branch-and-bound kernel: a
-// frozen result sums the remaining orbit sizes instead of walking the
-// representative list.
-func (e *Engine) evalPrunedBounded(plan *prunedReps, res *Result) {
-	var best diamBound
-	e.foldBounded(res, &best) // empty set
-	toggle := func(v int, add bool) {
-		if add {
-			e.AddFault(v)
-		} else {
-			e.RemoveFault(v)
-		}
-	}
-	var cur []int
-	for i, set := range plan.sets {
-		if res.Disconnected {
-			for _, m := range plan.mults[i:] {
-				res.Evaluated += m
-			}
-			break
-		}
-		cur = applyDiff(cur, set, toggle)
-		e.foldBoundedW(res, plan.mults[i], &best)
-	}
-	for _, v := range cur {
-		e.RemoveFault(v)
-	}
+// profileSearch is the witness-free exhaustive search over fault sets
+// of size exactly k, reusing the worker clones across calls.
+func (e *Engine) profileSearch(edges [][2]int, k int, clones []*Engine) MixedResult {
+	s := firstItemSearch(e.n, edges, k, true)
+	s.profile = true
+	return s.exec(e, clones)
 }
 
-// evalPrunedBoundedParallel is evalPrunedParallel with the shared bound
-// and an earliest-disconnected-chunk index: chunks after it only sum
-// their orbit sizes.
-func (e *Engine) evalPrunedBoundedParallel(plan *prunedReps, workers int, res *Result) {
-	var best diamBound
-	e.foldBounded(res, &best) // empty set
-	reps := len(plan.sets)
-	if reps == 0 {
-		return
-	}
-	if res.Disconnected {
-		for _, m := range plan.mults {
-			res.Evaluated += m
-		}
-		return
-	}
-	if workers > reps {
-		workers = reps
-	}
-	chunk := planChunk(reps, workers)
-	nchunks := (reps + chunk - 1) / chunk
-	per := make([]Result, nchunks)
-	var next, discChunk atomic.Int64
-	discChunk.Store(int64(nchunks))
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var c *Engine
-			for {
-				ci := int(next.Add(1)) - 1
-				if ci >= nchunks {
-					return
-				}
-				lo, hi := ci*chunk, (ci+1)*chunk
-				if hi > reps {
-					hi = reps
-				}
-				sub := Result{}
-				if int64(ci) > discChunk.Load() {
-					for _, m := range plan.mults[lo:hi] {
-						sub.Evaluated += m
-					}
-					per[ci] = sub
-					continue
-				}
-				if c == nil {
-					c = e.Clone()
-				}
-				toggle := func(v int, add bool) {
-					if add {
-						c.AddFault(v)
-					} else {
-						c.RemoveFault(v)
-					}
-				}
-				sub.WorstFaults = graph.NewBitset(e.n)
-				var cur []int
-				for i := lo; i < hi; i++ {
-					if sub.Disconnected {
-						for _, m := range plan.mults[i:hi] {
-							sub.Evaluated += m
-						}
-						break
-					}
-					cur = applyDiff(cur, plan.sets[i], toggle)
-					c.foldBoundedW(&sub, plan.mults[i], &best)
-				}
-				for _, v := range cur {
-					c.RemoveFault(v)
-				}
-				if sub.Disconnected {
-					casMin(&discChunk, int64(ci))
-				}
-				per[ci] = sub
-			}
-		}()
-	}
-	wg.Wait()
-	for _, r := range per {
-		mergeOrdered(res, r)
-	}
-}
-
-// evalPrunedMixedBounded is evalPrunedBounded over the mixed universe.
-func (e *Engine) evalPrunedMixedBounded(plan *prunedReps, edges [][2]int, res *MixedResult) {
-	var best diamBound
-	e.foldMixedBounded(res, &best) // empty set
-	toggle := func(v int, add bool) { e.toggleItem(v, edges, add) }
-	var cur []int
-	for i, set := range plan.sets {
-		if res.Disconnected {
-			for _, m := range plan.mults[i:] {
-				res.Evaluated += m
-			}
-			break
-		}
-		cur = applyDiff(cur, set, toggle)
-		e.foldMixedBoundedW(res, plan.mults[i], &best)
-	}
-	for _, v := range cur {
-		e.toggleItem(v, edges, false)
-	}
-}
-
-// evalPrunedMixedBoundedParallel is evalPrunedBoundedParallel over the
-// mixed universe.
-func (e *Engine) evalPrunedMixedBoundedParallel(plan *prunedReps, edges [][2]int, workers int, res *MixedResult) {
-	var best diamBound
-	e.foldMixedBounded(res, &best) // empty set
-	reps := len(plan.sets)
-	if reps == 0 {
-		return
-	}
-	if res.Disconnected {
-		for _, m := range plan.mults {
-			res.Evaluated += m
-		}
-		return
-	}
-	if workers > reps {
-		workers = reps
-	}
-	chunk := planChunk(reps, workers)
-	nchunks := (reps + chunk - 1) / chunk
-	per := make([]MixedResult, nchunks)
-	var next, discChunk atomic.Int64
-	discChunk.Store(int64(nchunks))
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var c *Engine
-			for {
-				ci := int(next.Add(1)) - 1
-				if ci >= nchunks {
-					return
-				}
-				lo, hi := ci*chunk, (ci+1)*chunk
-				if hi > reps {
-					hi = reps
-				}
-				sub := MixedResult{}
-				if int64(ci) > discChunk.Load() {
-					for _, m := range plan.mults[lo:hi] {
-						sub.Evaluated += m
-					}
-					per[ci] = sub
-					continue
-				}
-				if c == nil {
-					c = e.Clone()
-				}
-				toggle := func(v int, add bool) { c.toggleItem(v, edges, add) }
-				sub.WorstNodeFaults = graph.NewBitset(e.n)
-				var cur []int
-				for i := lo; i < hi; i++ {
-					if sub.Disconnected {
-						for _, m := range plan.mults[i:hi] {
-							sub.Evaluated += m
-						}
-						break
-					}
-					cur = applyDiff(cur, plan.sets[i], toggle)
-					c.foldMixedBoundedW(&sub, plan.mults[i], &best)
-				}
-				for _, v := range cur {
-					c.toggleItem(v, edges, false)
-				}
-				if sub.Disconnected {
-					casMin(&discChunk, int64(ci))
-				}
-				per[ci] = sub
-			}
-		}()
-	}
-	wg.Wait()
-	for _, r := range per {
-		mergeOrderedMixed(res, r)
-	}
+// node narrows a node-universe search result to a Result.
+func (r MixedResult) node() Result {
+	return Result{MaxDiameter: r.MaxDiameter, Disconnected: r.Disconnected, WorstFaults: r.WorstNodeFaults, Evaluated: r.Evaluated}
 }

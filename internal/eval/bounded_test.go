@@ -3,6 +3,7 @@ package eval
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"ftroute/internal/core"
@@ -98,23 +99,96 @@ func TestBoundedMatchesPlainMixed(t *testing.T) {
 	}
 }
 
-// TestBoundedProfileMatchesPlain pins the exact-k bounded profile to
-// the plain one on both universes.
+// profileOracle is Profile and ProfileMixed through the plain engine
+// exact-k enumerators: one full Diameter per fault set.
+func profileOracle(s *routing.Routing, f int) (node, mixed []int) {
+	eng := NewEngine(s)
+	edges := s.Graph().Edges()
+	for k := 0; k <= f; k++ {
+		r := eng.exhaustiveExact(k)
+		node = append(node, profileScore(r.MaxDiameter, r.Disconnected))
+		m := eng.exhaustiveExactMixed(k, edges)
+		mixed = append(mixed, profileScore(m.MaxDiameter, m.Disconnected))
+	}
+	return node, mixed
+}
+
+// profileScore is one Profile entry: -1 encodes disconnection.
+func profileScore(diam int, disconnected bool) int {
+	if disconnected {
+		return -1
+	}
+	return diam
+}
+
+// profileSources adds to boundedSources the larger profile anchors —
+// CCC(4) circular and a seeded random 3-regular graph — and a fragile
+// single-route cycle that one fault disconnects, so -1 appears.
+func profileSources(t *testing.T) map[string]*routing.Routing {
+	t.Helper()
+	srcs := boundedSources(t)
+	ccc, err := gen.CCC(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if srcs["ccc4-circular"], _, err = core.Circular(ccc, core.Options{Tolerance: 2}); err != nil {
+		t.Fatal(err)
+	}
+	rr, _, err := gen.RandomRegularConnected(16, 3, 5, 100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if srcs["rr16-circular"], _, err = core.Circular(rr, core.Options{Tolerance: 1}); err != nil {
+		t.Fatal(err)
+	}
+	c8, err := gen.Cycle(8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srcs["c8-fragile"] = newSingleRouteRouting(t, c8)
+	return srcs
+}
+
+// TestBoundedProfileMatchesPlain pins Profile and ProfileMixed, whose
+// exhaustive engine path is always the parallel branch-and-bound
+// search, to the plain exact-k enumerators on both universes, with the
+// Bounded flag on and off (Profile ignores it).
 func TestBoundedProfileMatchesPlain(t *testing.T) {
-	for name, s := range boundedSources(t) {
-		cfg := Config{Mode: Exhaustive}
-		cfgB := Config{Mode: Exhaustive, Bounded: true}
-		want := Profile(s, 2, cfg)
-		got := Profile(s, 2, cfgB)
-		if fmt.Sprint(got) != fmt.Sprint(want) {
-			t.Fatalf("%s: bounded profile %v != plain %v", name, got, want)
-		}
-		wantM := ProfileMixed(s, 2, cfg)
-		gotM := ProfileMixed(s, 2, cfgB)
-		if fmt.Sprint(gotM) != fmt.Sprint(wantM) {
-			t.Fatalf("%s: bounded mixed profile %v != plain %v", name, gotM, wantM)
+	sawDisconnect := false
+	for name, s := range profileSources(t) {
+		want, wantM := profileOracle(s, 2)
+		sawDisconnect = sawDisconnect || slices.Contains(want, -1)
+		for _, bounded := range []bool{false, true} {
+			cfg := Config{Mode: Exhaustive, Bounded: bounded}
+			if got := Profile(s, 2, cfg); !slices.Equal(got, want) {
+				t.Fatalf("%s bounded=%v: profile %v != plain %v", name, bounded, got, want)
+			}
+			if got := ProfileMixed(s, 2, cfg); !slices.Equal(got, wantM) {
+				t.Fatalf("%s bounded=%v: mixed profile %v != plain %v", name, bounded, got, wantM)
+			}
 		}
 	}
+	if !sawDisconnect {
+		t.Fatal("no profile anchor disconnects")
+	}
+}
+
+// TestBoundedReplaysBorrowedPrefix covers the disconnected-result rule
+// of the (score, unit) incumbent: a score borrowed from a unit after
+// the first disconnection must not hide the largest diameter before
+// it. The incumbent is seeded with a score from the last unit, as a
+// parallel worker running ahead would leave it, so the root and the
+// first unit skip every set; the search must detect that and replay.
+func TestBoundedReplaysBorrowedPrefix(t *testing.T) {
+	r := cycleRouting(t, 8)
+	want := MaxDiameter(r, 2, Config{Mode: Exhaustive})
+	if !want.Disconnected || want.MaxDiameter == 0 {
+		t.Fatalf("anchor should disconnect after a positive prefix maximum: %v", want)
+	}
+	eng := NewEngine(r)
+	s := firstItemSearch(eng.N(), nil, 2, false)
+	s.best.raise(want.MaxDiameter+5, s.units)
+	sameResult(t, "seeded incumbent", s.exec(eng, make([]*Engine, 1)).node(), want)
 }
 
 // TestDiameterAboveAgreesWithDiameter sweeps the bound across the true

@@ -49,6 +49,7 @@ package eval
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 
 	"ftroute/internal/graph"
 )
@@ -94,16 +95,18 @@ type Config struct {
 	// fails (or the group is trivial or too large) the search silently
 	// falls back to the plain enumeration. See docs/symmetry.md.
 	Pruned bool
-	// Bounded enables, in Exhaustive mode (plain and Pruned, serial and
-	// parallel, node and mixed universes), branch-and-bound evaluation:
-	// a best-so-far diameter is threaded through the enumeration (shared
-	// atomically across workers) and each fault set runs the pivot-pruned
-	// diameterAbove kernel, abandoning sets that cannot beat the
-	// incumbent after ~2 BFS instead of computing the full diameter.
-	// Results — scores, taxonomy, Evaluated, and the first-max witness —
-	// are bit-identical to the plain search. Survivors that cannot
-	// enumerate their routes, and Sampled mode (no enumeration tree to
-	// prune), ignore the flag. See docs/perf.md.
+	// Bounded enables, for MaxDiameter, MaxDiameterMixed and their
+	// Parallel drivers in Exhaustive mode (plain and Pruned), branch-and-
+	// bound evaluation: a best-so-far (score, unit) incumbent is threaded
+	// through the enumeration (shared atomically across workers) and
+	// each fault set runs the pivot-pruned diameterAbove kernel,
+	// abandoning sets that cannot beat the incumbent after ~2 BFS
+	// instead of computing the full diameter. Results — scores,
+	// taxonomy, Evaluated, and the first-max witness — are bit-identical
+	// to the plain search. Survivors that cannot enumerate their routes,
+	// and Sampled mode (no enumeration tree to prune), ignore the flag.
+	// Profile and ProfileMixed ignore it too: their exhaustive engine
+	// path is always bounded. See docs/perf.md.
 	Bounded bool
 	// SkippedWeight is the λ of the mixed packet-level adversary
 	// (WorstMixedFaults): fault sets are ranked by the score
@@ -142,10 +145,7 @@ func MaxDiameter(s Survivor, f int, cfg Config) Result {
 		}
 		if cfg.Bounded {
 			if eng := engineFor(s); eng != nil {
-				if f < 0 {
-					f = 0
-				}
-				return eng.exhaustiveBounded(f)
+				return eng.boundedSearch(nil, f, 1).node()
 			}
 		}
 		return exhaustive(s, f)
@@ -440,16 +440,20 @@ func (e *Engine) checkTolerance(d, f int) error {
 // diameter found (-1 encodes disconnection). It shares cfg semantics
 // with MaxDiameter but evaluates each size separately, which is the
 // shape of the per-fault-count tables in EXPERIMENTS.md.
+//
+// In Exhaustive mode on a RouteSource, Profile is always branch and
+// bound, whatever cfg.Bounded says: each size runs on GOMAXPROCS
+// workers whose engine clones are reused across sizes, without a
+// witness, and stops at the first disconnecting set (see docs/perf.md).
 func Profile(s Survivor, f int, cfg Config) []int {
 	out := make([]int, f+1)
 	eng := engineFor(s) // compiled once, reused across fault counts
+	clones := make([]*Engine, runtime.GOMAXPROCS(0))
 	for k := 0; k <= f; k++ {
 		var res Result
 		switch {
-		case cfg.Mode == Exhaustive && eng != nil && cfg.Bounded:
-			res = eng.exhaustiveExactBounded(k)
 		case cfg.Mode == Exhaustive && eng != nil:
-			res = eng.exhaustiveExact(k)
+			res = eng.profileSearch(nil, k, clones).node()
 		case cfg.Mode == Exhaustive:
 			res = exhaustiveExact(s, k)
 		default:
@@ -482,29 +486,6 @@ func exhaustiveExact(s Survivor, k int) Result {
 			faults.Add(v)
 			rec(v+1, left-1)
 			faults.Remove(v)
-		}
-	}
-	rec(0, k)
-	return res
-}
-
-// exhaustiveExact enumerates fault sets of size exactly k incrementally.
-// The engine must start fault-free and is restored on return.
-func (e *Engine) exhaustiveExact(k int) Result {
-	res := Result{WorstFaults: graph.NewBitset(e.n)}
-	var rec func(start, left int)
-	rec = func(start, left int) {
-		if left == 0 {
-			e.fold(&res)
-			return
-		}
-		if e.n-start < left {
-			return
-		}
-		for v := start; v < e.n; v++ {
-			e.AddFault(v)
-			rec(v+1, left-1)
-			e.RemoveFault(v)
 		}
 	}
 	rec(0, k)

@@ -3,6 +3,7 @@ package eval
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sort"
 
 	"ftroute/internal/graph"
@@ -131,10 +132,7 @@ func MaxDiameterMixed(s MixedSurvivor, f int, cfg Config) MixedResult {
 		}
 		if cfg.Bounded {
 			if eng := engineFor(s); eng != nil {
-				if f < 0 {
-					f = 0
-				}
-				return eng.exhaustiveMixedBounded(f, s.Graph().Edges())
+				return eng.boundedSearch(s.Graph().Edges(), f, 1)
 			}
 		}
 		return exhaustiveMixed(s, f)
@@ -429,18 +427,18 @@ func GreedyEdgeAdversary(s MixedSurvivor, f int) MixedResult {
 // combined count of failed nodes and cut links — the worst surviving
 // diameter found (-1 encodes disconnection). It is the mixed-universe
 // counterpart of Profile, sharing cfg semantics with MaxDiameterMixed
-// but evaluating each size separately.
+// but evaluating each size separately; like Profile, its exhaustive
+// engine path is always the parallel branch-and-bound search.
 func ProfileMixed(s MixedSurvivor, f int, cfg Config) []int {
 	out := make([]int, f+1)
 	eng := engineFor(s) // compiled once, reused across fault counts
 	edges := s.Graph().Edges()
+	clones := make([]*Engine, runtime.GOMAXPROCS(0))
 	for k := 0; k <= f; k++ {
 		var res MixedResult
 		switch {
-		case cfg.Mode == Exhaustive && eng != nil && cfg.Bounded:
-			res = eng.exhaustiveExactMixedBounded(k, edges)
 		case cfg.Mode == Exhaustive && eng != nil:
-			res = eng.exhaustiveExactMixed(k, edges)
+			res = eng.profileSearch(edges, k, clones)
 		case cfg.Mode == Exhaustive:
 			res = exhaustiveExactMixed(s, k)
 		default:
@@ -486,31 +484,6 @@ func exhaustiveExactMixed(s MixedSurvivor, k int) MixedResult {
 			} else {
 				cur = cur[:len(cur)-1]
 			}
-		}
-	}
-	rec(0, k)
-	return res
-}
-
-// exhaustiveExactMixed enumerates mixed fault sets of total size exactly
-// k incrementally. The engine must start fault-free and is restored on
-// return.
-func (e *Engine) exhaustiveExactMixed(k int, edges [][2]int) MixedResult {
-	res := MixedResult{WorstNodeFaults: graph.NewBitset(e.n)}
-	items := e.n + len(edges)
-	var rec func(start, left int)
-	rec = func(start, left int) {
-		if left == 0 {
-			e.foldMixed(&res)
-			return
-		}
-		if items-start < left {
-			return
-		}
-		for v := start; v < items; v++ {
-			e.toggleItem(v, edges, true)
-			rec(v+1, left-1)
-			e.toggleItem(v, edges, false)
 		}
 	}
 	rec(0, k)

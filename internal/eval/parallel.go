@@ -43,7 +43,7 @@ func MaxDiameterParallel(s Survivor, f int, cfg Config, workers int) Result {
 	}
 	if eng != nil {
 		if cfg.Bounded {
-			return eng.exhaustiveBoundedParallel(f, workers)
+			return eng.boundedSearch(nil, f, workers).node()
 		}
 		return eng.exhaustiveParallel(f, workers)
 	}
@@ -325,7 +325,7 @@ func MaxDiameterMixedParallel(s MixedSurvivor, f int, cfg Config, workers int) M
 		}
 	}
 	if cfg.Bounded {
-		return eng.exhaustiveMixedBoundedParallel(f, workers, edges)
+		return eng.boundedSearch(edges, f, workers)
 	}
 	return eng.exhaustiveMixedParallel(f, workers, edges)
 }

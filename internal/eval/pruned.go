@@ -207,12 +207,10 @@ func exhaustivePruned(s Survivor, f, workers int, bounded bool) (Result, bool) {
 	eng := engineFor(s) // non-nil: nodeReps required RouteSource
 	res := Result{WorstFaults: graph.NewBitset(eng.N())}
 	switch {
-	case workers > 1 && bounded:
-		eng.evalPrunedBoundedParallel(plan, workers, &res)
+	case bounded:
+		return prunedSearch(plan, nil, workers).exec(eng, make([]*Engine, workers)).node(), true
 	case workers > 1:
 		eng.evalPrunedParallel(plan, workers, &res)
-	case bounded:
-		eng.evalPrunedBounded(plan, &res)
 	default:
 		eng.evalPruned(plan, &res)
 	}
@@ -232,12 +230,10 @@ func exhaustiveMixedPruned(s MixedSurvivor, f, workers int, bounded bool) (Mixed
 	edges := s.Graph().Edges()
 	res := MixedResult{WorstNodeFaults: graph.NewBitset(eng.N())}
 	switch {
-	case workers > 1 && bounded:
-		eng.evalPrunedMixedBoundedParallel(plan, edges, workers, &res)
+	case bounded:
+		return prunedSearch(plan, edges, workers).exec(eng, make([]*Engine, workers)), true
 	case workers > 1:
 		eng.evalPrunedMixedParallel(plan, edges, workers, &res)
-	case bounded:
-		eng.evalPrunedMixedBounded(plan, edges, &res)
 	default:
 		eng.evalPrunedMixed(plan, edges, &res)
 	}

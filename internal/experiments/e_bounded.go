@@ -72,7 +72,7 @@ func runE21(scale Scale) (*Table, error) {
 	}
 	t.Notes = append(t.Notes,
 		"routing = the paper's Circular construction at tolerance 1; pairs = routed ordered pairs (the arcs of the unfaulted route graph R(G,rho))",
-		"plain = exhaustive engine search, one full word-parallel BFS diameter per fault set; bounded = Config.Bounded, the multi-pivot diameterAbove kernel against the enumeration's incumbent; b+par = bounded through MaxDiameterParallel's work-stealing clones sharing the incumbent atomically",
+		"plain = exhaustive engine search, one full word-parallel BFS diameter per fault set; bounded = Config.Bounded, the multi-pivot diameterAbove kernel against the enumeration's incumbent; b+par = bounded through MaxDiameterParallel's work-stealing clones sharing the (score, unit) incumbent atomically",
 		"agree checks all three searches bit for bit: worst diameter, disconnection flag, witness fault set and evaluated-set count must coincide (ok = they do; any divergence is flagged as a violated bound)",
 		"speedup = plain ms / b+par ms; the CI benchmark gate pins BenchmarkExhaustiveBoundedParallelCCC7F1 at <= 1/4 of BenchmarkExhaustiveEngineCCC7F1 (see docs/perf.md)",
 		"wall-clock columns vary run to run and machine to machine; set counts, diameters and witnesses are deterministic")

@@ -30,8 +30,22 @@ func (g *Graph) WriteEdgeList(w io.Writer) error {
 	return bw.Flush()
 }
 
-// ReadEdgeList parses the WriteEdgeList format. Duplicate edges and
-// self-loops are rejected.
+// MaxNodes caps the node count a decoded graph may declare. A header
+// is untrusted: New(n) allocates O(n) up front, so a 20-byte file
+// declaring 10^11 nodes would exhaust memory before any edge is read.
+// The cap is far above every instance the evaluator can search.
+const MaxNodes = 1 << 20
+
+// checkNodeCount validates a declared node count against [0, MaxNodes].
+func checkNodeCount(n int) error {
+	if n < 0 || n > MaxNodes {
+		return fmt.Errorf("graph: node count %d outside [0, %d]", n, MaxNodes)
+	}
+	return nil
+}
+
+// ReadEdgeList parses the WriteEdgeList format. Duplicate edges,
+// self-loops and node counts above MaxNodes are rejected.
 func ReadEdgeList(r io.Reader) (*Graph, error) {
 	sc := bufio.NewScanner(r)
 	var g *Graph
@@ -48,8 +62,8 @@ func ReadEdgeList(r io.Reader) (*Graph, error) {
 				return nil, fmt.Errorf("graph: line %d: want header \"n <count>\", got %q", line, text)
 			}
 			n, err := strconv.Atoi(fields[1])
-			if err != nil || n < 0 {
-				return nil, fmt.Errorf("graph: line %d: bad node count %q", line, fields[1])
+			if err != nil || checkNodeCount(n) != nil {
+				return nil, fmt.Errorf("graph: line %d: bad node count %q (want 0..%d)", line, fields[1], MaxNodes)
 			}
 			g = New(n)
 			continue
@@ -89,10 +103,14 @@ func (g *Graph) MarshalJSON() ([]byte, error) {
 	return json.Marshal(graphJSON{Nodes: g.N(), Edges: g.Edges()})
 }
 
-// UnmarshalJSON decodes the MarshalJSON format.
+// UnmarshalJSON decodes the MarshalJSON format, with the node count
+// capped like ReadEdgeList's.
 func (g *Graph) UnmarshalJSON(data []byte) error {
 	var wire graphJSON
 	if err := json.Unmarshal(data, &wire); err != nil {
+		return err
+	}
+	if err := checkNodeCount(wire.Nodes); err != nil {
 		return err
 	}
 	fresh := New(wire.Nodes)

@@ -3,6 +3,7 @@ package graph
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -46,6 +47,8 @@ func TestReadEdgeListErrors(t *testing.T) {
 		{"loop", "n 2\n1 1\n"},
 		{"duplicate", "n 2\n0 1\n1 0\n"},
 		{"range", "n 2\n0 5\n"},
+		{"huge count", "n 99999999999\n"},
+		{"over cap", fmt.Sprintf("n %d\n", MaxNodes+1)},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -68,6 +71,15 @@ func TestGraphJSONRoundTrip(t *testing.T) {
 	}
 	if !g.Equal(&back) {
 		t.Fatal("JSON round trip changed the graph")
+	}
+}
+
+func TestGraphJSONRejectsBadNodeCounts(t *testing.T) {
+	for _, in := range []string{`{"nodes":-1}`, `{"nodes":99999999999}`} {
+		var g Graph
+		if err := json.Unmarshal([]byte(in), &g); err == nil {
+			t.Fatalf("%s should fail", in)
+		}
 	}
 }
 
