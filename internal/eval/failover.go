@@ -242,13 +242,8 @@ func sampledCuts(t *routing.FailoverTables, g *graph.Graph, faults *routing.Faul
 // whose wires carry the most forwarding decisions, hence the natural
 // first target (ties break to the lowest node id).
 func concentratorCuts(t *routing.FailoverTables, g *graph.Graph, faults *routing.FaultSet, budget int, res *CutResult) {
-	conc, best := -1, -1
-	for v := 0; v < t.N(); v++ {
-		if e := t.EntriesAt(v); e > best {
-			conc, best = v, e
-		}
-	}
-	if conc < 0 || best == 0 {
+	conc := t.Concentrator()
+	if conc < 0 {
 		return
 	}
 	targets := make([]routing.EdgeFault, 0, g.Degree(conc))

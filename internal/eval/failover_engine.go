@@ -277,13 +277,8 @@ func (we *WalkEngine) sampledSearch(budget int, cfg Config, workers int, res *Cu
 // to the lowest node id), in the graph's neighbor order — exactly the
 // legacy concentratorCuts enumeration, run incrementally.
 func (we *WalkEngine) concentratorSearch(budget int, res *CutResult) {
-	conc, best := -1, -1
-	for v := 0; v < we.n; v++ {
-		if e := int(we.entriesAt[v]); e > best {
-			conc, best = v, e
-		}
-	}
-	if conc < 0 || best == 0 {
+	conc := we.tables.Concentrator()
+	if conc < 0 {
 		return
 	}
 	var targets []int

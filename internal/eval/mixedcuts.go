@@ -339,13 +339,8 @@ func (we *WalkEngine) sampledMixedCuts(budget int, cfg Config, workers int, res 
 // attack; cutting its wires is the link attack — the probe covers every
 // combination of the two within budget.
 func (we *WalkEngine) concentratorMixedCuts(budget int, res *MixedCutResult) {
-	conc, best := -1, -1
-	for v := 0; v < we.n; v++ {
-		if e := int(we.entriesAt[v]); e > best {
-			conc, best = v, e
-		}
-	}
-	if conc < 0 || best == 0 {
+	conc := we.tables.Concentrator()
+	if conc < 0 {
 		return
 	}
 	targets := []int{conc}
@@ -574,13 +569,8 @@ func (st *legacyMixedWalkState) sampled(budget int, cfg Config, res *MixedCutRes
 
 // concentrator is the legacy mirror of concentratorMixedCuts.
 func (st *legacyMixedWalkState) concentrator(budget int, res *MixedCutResult) {
-	conc, best := -1, -1
-	for v := 0; v < st.n && v < st.t.N(); v++ {
-		if e := st.t.EntriesAt(v); e > best {
-			conc, best = v, e
-		}
-	}
-	if conc < 0 || best == 0 {
+	conc := st.t.Concentrator()
+	if conc < 0 {
 		return
 	}
 	edgeID := make(map[[2]int]int, len(st.edges))

@@ -9,12 +9,13 @@ import (
 
 // WalkEngine is the incremental evaluation engine for static-failover
 // walks under mixed faults — the packet-level analogue of Engine. It
-// compiles FailoverTables once into flat arrays and caches, per ordered
-// pair, the current walk: its outcome, the links it traverses (the hop
-// sequence in edge-id form), the nodes it enters, and the links and
-// nodes it consulted entries toward but skipped because they were
-// faulty. Inverted item→pairs bitset indexes keep every cache queryable
-// per link and per node, which makes invalidation exact:
+// walks the FailoverTables' flat layout in place, adding one edge id per
+// ranked hop, and caches, per ordered pair, the current walk: its
+// outcome, the links it traverses (the hop sequence in edge-id form),
+// the nodes it enters, and the links and nodes it consulted entries
+// toward but skipped because they were faulty. Inverted item→pairs
+// bitset indexes keep every cache queryable per link and per node,
+// which makes invalidation exact:
 //
 //   - AddLinkCut(e) changes the walk of exactly the pairs whose cached
 //     walk traverses e. Every entry ranked before the one a walk took
@@ -44,17 +45,16 @@ type WalkEngine struct {
 	m         int          // cuttable links (g.Edges())
 	pairWords int          // uint64 words per link→pairs bitset row
 
-	// Compiled form, shared read-only between clones.
-	pairU, pairV []int32         // pair id -> (src, dst), FailoverTables.Pairs() order
-	entOff       []int32         // pair id -> range in entAt/hopOff, len P+1
-	entAt        []int32         // entry -> at-node, sorted within each pair
+	// Compiled form, shared read-only between clones. pairs, hopOff and
+	// hops alias the tables' flat layout; entries are found by
+	// tables.Entry.
+	tables       *routing.FailoverTables
+	pairs        [][2]int32      // pair id -> (src, dst), FailoverTables.Pairs() order
 	hopOff       []int32         // entry -> range in hops/hopEdge, len E+1
 	hops         []int32         // ranked next hops, primary first
 	hopEdge      []int32         // hop -> edge id of the (at, hop) link; -1 = not a graph edge, never cuttable
 	edgeU, edgeV []int32         // edge id -> endpoints (u < v), g.Edges() order
 	edgeID       map[int64]int32 // normalized endpoint key -> edge id
-	pairID       map[int64]int32 // src<<32|dst -> pair id
-	entriesAt    []int32         // node -> decisions held (concentrator probe)
 	endpointRows []uint64        // node -> bitset over pairs with the node as src or dst
 
 	// Mutable walk cache, deep-copied by Clone.
@@ -79,94 +79,43 @@ type WalkEngine struct {
 }
 
 // NewWalkEngine compiles tables t (built for graph g) and walks every
-// pair once under the empty cut set. The tables and graph are only
-// read, never retained mutably; the engine itself is not safe for
+// pair once under the empty cut set. The engine walks the tables' flat
+// arrays in place, adding only the edge id of every ranked hop; the
+// tables and graph are only read. The engine itself is not safe for
 // concurrent use — use Clone for parallel searches.
 func NewWalkEngine(t *routing.FailoverTables, g *graph.Graph) *WalkEngine {
 	edges := g.Edges()
-	tpairs := t.Pairs()
-	P := len(tpairs)
 	we := &WalkEngine{
-		g:         g,
-		n:         g.N(),
-		m:         len(edges),
-		pairWords: (P + 63) / 64,
-		pairU:     make([]int32, P),
-		pairV:     make([]int32, P),
-		edgeU:     make([]int32, len(edges)),
-		edgeV:     make([]int32, len(edges)),
-		edgeID:    make(map[int64]int32, len(edges)),
-		entriesAt: make([]int32, g.N()),
+		tables: t,
+		g:      g,
+		n:      g.N(),
+		m:      len(edges),
+		edgeU:  make([]int32, len(edges)),
+		edgeV:  make([]int32, len(edges)),
+		edgeID: make(map[int64]int32, len(edges)),
 	}
+	var entAt []int32
+	we.pairs, entAt, we.hopOff, we.hops = t.Layout()
+	P := len(we.pairs)
+	we.pairWords = (P + 63) / 64
 	for i, e := range edges {
 		we.edgeU[i], we.edgeV[i] = int32(e[0]), int32(e[1])
 		we.edgeID[edgeKeyNorm(e[0], e[1])] = int32(i)
 	}
-	we.pairID = make(map[int64]int32, P)
-	for i, p := range tpairs {
-		we.pairU[i], we.pairV[i] = p[0], p[1]
-		we.pairID[int64(p[0])<<32|int64(p[1])] = int32(i)
-	}
-	pairID := we.pairID // alias for the compile closures below
-	for v := 0; v < we.n && v < t.N(); v++ {
-		we.entriesAt[v] = int32(t.EntriesAt(v))
-	}
-	// Group the table's decisions by pair with a two-pass counting
-	// placement (cheaper than a global sort), then at-sort each pair's
-	// short run in place so entryOf can binary-search it.
-	type decision struct {
-		at     int32
-		ranked []int32
-	}
-	we.entOff = make([]int32, P+1)
-	hopTotal := 0
-	t.EachEntry(func(at, src, dst int, ranked []int32) {
-		if id, ok := pairID[int64(src)<<32|int64(dst)]; ok {
-			we.entOff[id+1]++
-			hopTotal += len(ranked)
-		}
-	})
-	for p := 0; p < P; p++ {
-		we.entOff[p+1] += we.entOff[p]
-	}
-	E := int(we.entOff[P])
-	decs := make([]decision, E)
-	fill := append([]int32(nil), we.entOff[:P]...)
-	t.EachEntry(func(at, src, dst int, ranked []int32) {
-		if id, ok := pairID[int64(src)<<32|int64(dst)]; ok {
-			decs[fill[id]] = decision{at: int32(at), ranked: ranked}
-			fill[id]++
-		}
-	})
-	for p := 0; p < P; p++ {
-		run := decs[we.entOff[p]:we.entOff[p+1]]
-		for i := 1; i < len(run); i++ { // runs are walk-length short
-			for j := i; j > 0 && run[j].at < run[j-1].at; j-- {
-				run[j], run[j-1] = run[j-1], run[j]
+	we.hopEdge = make([]int32, len(we.hops))
+	for e, at := range entAt {
+		for h := we.hopOff[e]; h < we.hopOff[e+1]; h++ {
+			we.hopEdge[h] = -1
+			if id, ok := we.edgeID[edgeKeyNorm(int(at), int(we.hops[h]))]; ok {
+				we.hopEdge[h] = id
 			}
-		}
-	}
-	we.entAt = make([]int32, E)
-	we.hopOff = make([]int32, E+1)
-	we.hops = make([]int32, 0, hopTotal)
-	we.hopEdge = make([]int32, 0, hopTotal)
-	for i, d := range decs {
-		we.entAt[i] = d.at
-		we.hopOff[i+1] = we.hopOff[i] + int32(len(d.ranked))
-		for _, nx := range d.ranked {
-			we.hops = append(we.hops, nx)
-			eid := int32(-1)
-			if id, ok := we.edgeID[edgeKeyNorm(int(d.at), int(nx))]; ok {
-				eid = id
-			}
-			we.hopEdge = append(we.hopEdge, eid)
 		}
 	}
 	we.endpointRows = make([]uint64, we.n*we.pairWords)
-	for p := 0; p < P; p++ {
+	for p, pr := range we.pairs {
 		w, bit := p>>6, uint64(1)<<(uint(p)&63)
-		we.endpointRows[int(we.pairU[p])*we.pairWords+w] |= bit
-		we.endpointRows[int(we.pairV[p])*we.pairWords+w] |= bit
+		we.endpointRows[int(pr[0])*we.pairWords+w] |= bit
+		we.endpointRows[int(pr[1])*we.pairWords+w] |= bit
 	}
 	we.cut = graph.NewBitset(we.m)
 	we.nodeFault = graph.NewBitset(we.n)
@@ -248,11 +197,11 @@ func (we *WalkEngine) N() int { return we.n }
 func (we *WalkEngine) Links() int { return we.m }
 
 // PairCount returns the number of ordered pairs with table entries.
-func (we *WalkEngine) PairCount() int { return len(we.pairU) }
+func (we *WalkEngine) PairCount() int { return len(we.pairs) }
 
 // Pair returns pair i as (src, dst), in FailoverTables.Pairs() order.
 func (we *WalkEngine) Pair(i int) (src, dst int) {
-	return int(we.pairU[i]), int(we.pairV[i])
+	return int(we.pairs[i][0]), int(we.pairs[i][1])
 }
 
 // Outcome returns the cached walk outcome of pair i under the current
@@ -270,7 +219,7 @@ func (we *WalkEngine) DisruptedPairs() [][2]int32 {
 	var out [][2]int32
 	for i, o := range we.outcome {
 		if o == routing.Blackhole || o == routing.Loop {
-			out = append(out, [2]int32{we.pairU[i], we.pairV[i]})
+			out = append(out, we.pairs[i])
 		}
 	}
 	return out
@@ -279,12 +228,7 @@ func (we *WalkEngine) DisruptedPairs() [][2]int32 {
 // PairID returns the pair id of the ordered pair (src, dst), or -1 when
 // the tables hold no entry for it. Pair ids index the per-pair walk
 // accessors below and stay valid for the engine's lifetime.
-func (we *WalkEngine) PairID(src, dst int) int {
-	if id, ok := we.pairID[int64(src)<<32|int64(dst)]; ok {
-		return int(id)
-	}
-	return -1
-}
+func (we *WalkEngine) PairID(src, dst int) int { return we.tables.PairIndex(src, dst) }
 
 // WalkHops returns the link traversals of pair p's cached walk under
 // the current fault set — len(Path)-1 of the equivalent WalkUnderFaults
@@ -302,7 +246,7 @@ func (we *WalkEngine) WalkStuck(p int) int {
 	if l := we.visited[p]; len(l) > 0 {
 		return int(l[len(l)-1])
 	}
-	return int(we.pairU[p])
+	return int(we.pairs[p][0])
 }
 
 // CutList returns the current cut set, normalized and sorted (edge-id
@@ -581,24 +525,6 @@ func (we *WalkEngine) indexPair(p int32, on bool) {
 	}
 }
 
-// entryOf returns pair p's entry index at node `at`, or -1. Entries of
-// a pair are at-sorted, so this is a binary search of its run.
-func (we *WalkEngine) entryOf(p, at int32) int32 {
-	lo, hi := we.entOff[p], we.entOff[p+1]
-	for lo < hi {
-		mid := (lo + hi) >> 1
-		if we.entAt[mid] < at {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo < we.entOff[p+1] && we.entAt[lo] == at {
-		return lo
-	}
-	return -1
-}
-
 // walk replays pair p's forwarding walk under the current mixed fault
 // set, rebuilding its traversed, visited and blocked item lists, and
 // returns the outcome. Semantics mirror FailoverTables.WalkUnderFaults
@@ -615,7 +541,7 @@ func (we *WalkEngine) walk(p int32) routing.Outcome {
 	we.visited[p] = we.visited[p][:0]
 	we.blockedN[p] = we.blockedN[p][:0]
 	we.fails[p] = 0
-	src, dst := we.pairU[p], we.pairV[p]
+	src, dst := we.pairs[p][0], we.pairs[p][1]
 	if we.nodeFault.Has(int(src)) || we.nodeFault.Has(int(dst)) {
 		return routing.Skipped
 	}
@@ -627,7 +553,7 @@ func (we *WalkEngine) walk(p int32) routing.Outcome {
 	at := src
 	for {
 		took, backup := int32(-1), false
-		if e := we.entryOf(p, at); e >= 0 {
+		if e := int32(we.tables.Entry(int(p), int(at))); e >= 0 {
 			for h := we.hopOff[e]; h < we.hopOff[e+1]; h++ {
 				eid, nx := we.hopEdge[h], we.hops[h]
 				dead := false

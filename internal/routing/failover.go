@@ -1,7 +1,9 @@
 package routing
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"ftroute/internal/graph"
@@ -156,12 +158,20 @@ type WalkResult struct {
 
 // FailoverTables hold, per (at-node, src, dst), a ranked list of next
 // hops: the primary route's hop first, backups after it in route order.
-// They are immutable after compilation and safe for concurrent walks.
+// The layout is flat: the routed pairs sorted by (src, dst) with
+// per-source offsets, each pair owning an at-sorted run of decisions,
+// each decision owning a run of ranked next hops. Package eval's
+// WalkEngine walks these arrays in place (see Layout). The tables are
+// immutable after compilation and safe for concurrent walks.
 type FailoverTables struct {
 	n       int
-	next    map[hopKey][]int32
-	perNode []int32    // entries held by each node
-	pairs   [][2]int32 // ordered pairs with at least one entry, sorted
+	srcOff  []int32    // node -> first index in pairs with that source, len n+1
+	pairs   [][2]int32 // ordered pairs with at least one route, sorted
+	entOff  []int32    // pair -> range in entAt/hopOff, len P+1
+	entAt   []int32    // decision -> at-node, sorted within each pair
+	hopOff  []int32    // decision -> range in hops, len E+1
+	hops    []int32    // ranked next hops, primary first
+	perNode []int32    // decisions held by each node
 	maxRank int
 }
 
@@ -170,12 +180,7 @@ type FailoverTables struct {
 // i (duplicate next hops at a node collapse into the earlier rank).
 // Section 6 multiroutings and Reinforce outputs compile directly.
 func CompileFailover(m *MultiRouting) *FailoverTables {
-	ft := newFailoverTables(m.Graph().N())
-	for _, k := range m.sortedPairKeys() {
-		ft.addRoutes(int(k.u), int(k.v), m.routes[k])
-	}
-	ft.finish()
-	return ft
+	return buildFailover(m.g.N(), sortedKeys(m.routes), func(k pairKey) []Path { return m.routes[k] })
 }
 
 // FailoverFromRouting builds rank-1 failover tables from a single
@@ -184,63 +189,58 @@ func CompileFailover(m *MultiRouting) *FailoverTables {
 // survives, which is the bridge between table-level and
 // surviving-route-graph semantics (see TestWalkMatchesSurvivingGraph).
 func FailoverFromRouting(r *Routing) *FailoverTables {
-	ft := newFailoverTables(r.g.N())
-	for _, k := range r.sortedPairKeys() {
-		ft.addRoutes(int(k.u), int(k.v), []Path{r.routes[k]})
-	}
-	ft.finish()
-	return ft
-}
-
-// newFailoverTables returns an empty table set over n nodes.
-func newFailoverTables(n int) *FailoverTables {
-	return &FailoverTables{n: n, next: make(map[hopKey][]int32), perNode: make([]int32, n)}
-}
-
-// addRoutes installs the ranked entries of one ordered pair.
-func (ft *FailoverTables) addRoutes(u, v int, routes []Path) {
-	if len(routes) == 0 {
-		return
-	}
-	ft.pairs = append(ft.pairs, [2]int32{int32(u), int32(v)})
-	for _, p := range routes {
-		for i := 0; i+1 < len(p); i++ {
-			key := hopKey{at: int32(p[i]), u: int32(u), v: int32(v)}
-			nx := int32(p[i+1])
-			ranked := ft.next[key]
-			if containsHop(ranked, nx) {
-				continue
-			}
-			if len(ranked) == 0 {
-				ft.perNode[p[i]]++
-			}
-			ft.next[key] = append(ranked, nx)
-		}
-	}
-}
-
-// finish sorts the pair list and records the deepest rank.
-func (ft *FailoverTables) finish() {
-	sort.Slice(ft.pairs, func(i, j int) bool {
-		if ft.pairs[i][0] != ft.pairs[j][0] {
-			return ft.pairs[i][0] < ft.pairs[j][0]
-		}
-		return ft.pairs[i][1] < ft.pairs[j][1]
+	one := make([]Path, 1)
+	return buildFailover(r.g.N(), sortedKeys(r.routes), func(k pairKey) []Path {
+		one[0] = r.routes[k]
+		return one
 	})
-	for _, ranked := range ft.next {
-		if len(ranked) > ft.maxRank {
-			ft.maxRank = len(ranked)
-		}
-	}
 }
 
-func containsHop(ranked []int32, nx int32) bool {
-	for _, h := range ranked {
-		if h == nx {
-			return true
-		}
+// rankedHop is one route hop at -> nx of the pair being compiled.
+type rankedHop struct{ at, nx int32 }
+
+// buildFailover fills the flat layout one pair at a time, in the sorted
+// order of keys. A pair's route hops are stable-sorted by at-node, so
+// each decision lists its next hops in route order, and a next hop
+// already ranked at the node is dropped.
+func buildFailover(n int, keys []pairKey, routesOf func(pairKey) []Path) *FailoverTables {
+	ft := &FailoverTables{
+		n:       n,
+		srcOff:  make([]int32, n+1),
+		pairs:   make([][2]int32, 0, len(keys)),
+		entOff:  append(make([]int32, 0, len(keys)+1), 0),
+		hopOff:  []int32{0},
+		perNode: make([]int32, n),
 	}
-	return false
+	var run []rankedHop // the current pair's hops
+	for _, k := range keys {
+		ft.pairs = append(ft.pairs, [2]int32{k.u, k.v})
+		ft.srcOff[k.u+1]++
+		run = run[:0]
+		for _, p := range routesOf(k) {
+			for i := 0; i+1 < len(p); i++ {
+				run = append(run, rankedHop{at: int32(p[i]), nx: int32(p[i+1])})
+			}
+		}
+		slices.SortStableFunc(run, func(x, y rankedHop) int { return cmp.Compare(x.at, y.at) })
+		for i := 0; i < len(run); {
+			at, start := run[i].at, len(ft.hops)
+			for ; i < len(run) && run[i].at == at; i++ {
+				if !slices.Contains(ft.hops[start:], run[i].nx) {
+					ft.hops = append(ft.hops, run[i].nx)
+				}
+			}
+			ft.entAt = append(ft.entAt, at)
+			ft.hopOff = append(ft.hopOff, int32(len(ft.hops)))
+			ft.perNode[at]++
+			ft.maxRank = max(ft.maxRank, len(ft.hops)-start)
+		}
+		ft.entOff = append(ft.entOff, int32(len(ft.entAt)))
+	}
+	for v := 0; v < n; v++ {
+		ft.srcOff[v+1] += ft.srcOff[v]
+	}
+	return ft
 }
 
 // N returns the node count the tables were compiled for.
@@ -251,7 +251,7 @@ func (ft *FailoverTables) MaxRank() int { return ft.maxRank }
 
 // Entries returns the number of (at, src, dst) decisions with at least
 // one next hop — comparable to ForwardingTables.Entries.
-func (ft *FailoverTables) Entries() int { return len(ft.next) }
+func (ft *FailoverTables) Entries() int { return len(ft.entAt) }
 
 // EntriesAt returns the number of decisions held by one node.
 func (ft *FailoverTables) EntriesAt(node int) int {
@@ -261,25 +261,90 @@ func (ft *FailoverTables) EntriesAt(node int) int {
 	return int(ft.perNode[node])
 }
 
-// Pairs returns the ordered pairs with at least one table entry, sorted
+// Concentrator returns the node holding the most decisions (ties to the
+// lowest id), the natural first target of an adversary, or -1 when the
+// tables hold no decision.
+func (ft *FailoverTables) Concentrator() int {
+	conc := -1
+	for v, e := range ft.perNode {
+		if e > 0 && (conc < 0 || e > ft.perNode[conc]) {
+			conc = v
+		}
+	}
+	return conc
+}
+
+// Pairs returns the ordered pairs with at least one route, sorted
 // lexicographically. The slice is shared; callers must not mutate it.
 func (ft *FailoverTables) Pairs() [][2]int32 { return ft.pairs }
+
+// PairIndex returns the index of the ordered pair (src, dst) in Pairs(),
+// or -1 when the tables hold no route for it.
+func (ft *FailoverTables) PairIndex(src, dst int) int {
+	if src < 0 || src >= ft.n || dst < 0 || dst >= ft.n {
+		return -1
+	}
+	lo, end := ft.srcOff[src], ft.srcOff[src+1]
+	for hi := end; lo < hi; {
+		if mid := (lo + hi) >> 1; ft.pairs[mid][1] < int32(dst) {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	if lo < end && ft.pairs[lo][1] == int32(dst) {
+		return int(lo)
+	}
+	return -1
+}
+
+// Layout exposes the flat arrays: the sorted pairs (indexed like
+// Pairs), and per decision e — found with Entry — its at-node entAt[e]
+// and the range hopOff[e]..hopOff[e+1] of its ranked next hops in hops.
+// The slices are shared; callers must not mutate them.
+func (ft *FailoverTables) Layout() (pairs [][2]int32, entAt, hopOff, hops []int32) {
+	return ft.pairs, ft.entAt, ft.hopOff, ft.hops
+}
 
 // NextRanked returns the ranked next hops at node `at` for the pair
 // (src, dst), primary first. The slice is shared; callers must not
 // mutate it.
 func (ft *FailoverTables) NextRanked(at, src, dst int) []int32 {
-	return ft.next[hopKey{at: int32(at), u: int32(src), v: int32(dst)}]
+	p := ft.PairIndex(src, dst)
+	if p < 0 {
+		return nil
+	}
+	if e := ft.Entry(p, at); e >= 0 {
+		return ft.hops[ft.hopOff[e]:ft.hopOff[e+1]]
+	}
+	return nil
+}
+
+// Entry returns the index in the Layout arrays of pair index p's
+// decision at node `at`, or -1 when the pair holds none there.
+func (ft *FailoverTables) Entry(p, at int) int {
+	lo, end := ft.entOff[p], ft.entOff[p+1]
+	for hi := end; lo < hi; {
+		if mid := (lo + hi) >> 1; ft.entAt[mid] < int32(at) {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	if lo < end && ft.entAt[lo] == int32(at) {
+		return int(lo)
+	}
+	return -1
 }
 
 // EachEntry calls fn once per (at, src, dst) decision with its ranked
-// next hops (primary first), in unspecified order. The ranked slice is
-// shared with the tables; callers must not mutate or retain it. This is
-// the enumeration hook package eval's WalkEngine compiles its flat walk
-// arrays from.
+// next hops (primary first), in (src, dst, at) order. The ranked slice
+// is shared with the tables; callers must not mutate or retain it.
 func (ft *FailoverTables) EachEntry(fn func(at, src, dst int, ranked []int32)) {
-	for k, ranked := range ft.next {
-		fn(int(k.at), int(k.u), int(k.v), ranked)
+	for p, pr := range ft.pairs {
+		for e := ft.entOff[p]; e < ft.entOff[p+1]; e++ {
+			fn(int(ft.entAt[e]), int(pr[0]), int(pr[1]), ft.hops[ft.hopOff[e]:ft.hopOff[e+1]])
+		}
 	}
 }
 
@@ -303,8 +368,7 @@ func (ft *FailoverTables) WalkUnderFaults(src, dst int, faults *FaultSet) WalkRe
 	res := WalkResult{Path: Path{src}}
 	visited := make([]uint64, (ft.n+63)/64)
 	visited[src>>6] |= 1 << (uint(src) & 63)
-	at := src
-	for {
+	for at := src; ; {
 		nx, rank := ft.liveNext(at, src, dst, faults)
 		if nx < 0 {
 			res.Outcome = Blackhole
@@ -332,7 +396,7 @@ func (ft *FailoverTables) WalkUnderFaults(src, dst int, faults *FaultSet) WalkRe
 // liveNext returns the first live ranked entry at `at` for (src, dst)
 // and its rank, or (-1, -1) if no entry is live.
 func (ft *FailoverTables) liveNext(at, src, dst int, faults *FaultSet) (int, int) {
-	for rank, nx := range ft.next[hopKey{at: int32(at), u: int32(src), v: int32(dst)}] {
+	for rank, nx := range ft.NextRanked(at, src, dst) {
 		n := int(nx)
 		if faults.NodeFaulty(n) || faults.LinkFaulty(at, n) {
 			continue
@@ -353,106 +417,129 @@ func (ft *FailoverTables) liveNext(at, src, dst int, faults *FaultSet) (int, int
 // the backup's own links. Pairs whose residual graph disconnects simply
 // stop early — reinforcement degrades gracefully on sparse graphs.
 func Reinforce(r *Routing, backups int) (*MultiRouting, error) {
-	if backups < 0 {
-		backups = 0
-	}
-	g := r.g
-	m := NewMulti(g, backups+1, false)
-	var firstErr error
-	for _, k := range r.sortedPairKeys() {
+	backups = max(backups, 0)
+	keys := sortedKeys(r.routes)
+	m := &MultiRouting{g: r.g, limit: backups + 1, routes: make(map[pairKey][]Path, len(keys))}
+	s := newBackupSearch(r.g)
+	for i, k := range keys {
 		primary := r.routes[k]
-		if err := m.Add(primary); err != nil {
-			return nil, err
+		stamp := int32(i + 1) // marks the links used by this pair's routes
+		if !s.markLinks(primary, stamp) {
+			return nil, fmt.Errorf("%w: route %v", ErrNotPath, primary)
 		}
-		used := make(map[EdgeFault]bool)
-		markPathLinks(primary, used)
-		for b := 0; b < backups; b++ {
-			alt := shortestPathAvoidingLinks(g, int(k.u), int(k.v), used)
+		routes := append(make([]Path, 0, backups+1), primary)
+		for len(routes) <= backups {
+			alt := s.shortestPathAvoiding(int(k.u), int(k.v), stamp)
 			if alt == nil {
 				break
 			}
-			added, err := m.AddCapped(alt)
-			if err != nil {
-				firstErr = err
-				break
-			}
-			if !added {
-				break
-			}
-			markPathLinks(alt, used)
+			s.markLinks(alt, stamp)
+			routes = append(routes, alt)
 		}
+		m.routes[k] = routes
 	}
-	return m, firstErr
+	return m, nil
 }
 
-// sortedPairKeys returns the routing's pair keys in lexicographic order,
-// giving deterministic compilation and reinforcement.
-func (r *Routing) sortedPairKeys() []pairKey {
-	keys := make([]pairKey, 0, len(r.routes))
-	for k := range r.routes {
-		keys = append(keys, k)
-	}
-	sortPairKeys(keys)
-	return keys
+// backupSearch is Reinforce's scratch: the graph as flat arcs with an
+// undirected edge id each (neighbours in increasing order, the order of
+// EachNeighbor), a per-edge stamp of the pair whose routes use it, and
+// BFS arrays reused from one search to the next.
+type backupSearch struct {
+	arcOff, arcTo, arcEdge []int32 // node -> arcs; arc -> head, edge id
+	used                   []int32 // edge id -> stamp of the pair using it
+	parent                 []int32 // node -> BFS parent; -2 = unreached
+	queue                  []int32
 }
 
-// sortedPairKeys is the multirouting analogue.
-func (m *MultiRouting) sortedPairKeys() []pairKey {
-	keys := make([]pairKey, 0, len(m.routes))
-	for k := range m.routes {
-		keys = append(keys, k)
-	}
-	sortPairKeys(keys)
-	return keys
-}
-
-func sortPairKeys(keys []pairKey) {
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].u != keys[j].u {
-			return keys[i].u < keys[j].u
-		}
-		return keys[i].v < keys[j].v
-	})
-}
-
-// markPathLinks adds p's links to used, normalized.
-func markPathLinks(p Path, used map[EdgeFault]bool) {
-	for i := 0; i+1 < len(p); i++ {
-		used[EdgeFault{U: p[i], V: p[i+1]}.Normalize()] = true
-	}
-}
-
-// shortestPathAvoidingLinks runs a BFS from u to v that never traverses
-// a link in avoid, with deterministic smallest-id tie-breaking (the same
-// rule as ShortestPath). It returns nil when v is unreachable.
-func shortestPathAvoidingLinks(g *graph.Graph, u, v int, avoid map[EdgeFault]bool) Path {
+func newBackupSearch(g *graph.Graph) *backupSearch {
 	n := g.N()
-	parent := make([]int32, n)
-	for i := range parent {
-		parent[i] = -2
-	}
-	parent[u] = -1
-	queue := []int32{int32(u)}
-	for head := 0; head < len(queue); head++ {
-		x := int(queue[head])
-		if x == v {
-			break
-		}
+	s := &backupSearch{arcOff: make([]int32, n+1), parent: make([]int32, n)}
+	for x := 0; x < n; x++ {
 		g.EachNeighbor(x, func(y int) bool {
-			if parent[y] == -2 && !avoid[EdgeFault{U: x, V: y}.Normalize()] {
-				parent[y] = int32(x)
-				queue = append(queue, int32(y))
+			id := int32(len(s.used))
+			if y < x { // the edge was numbered from y's side
+				id = s.arcEdge[s.arcFind(y, x)]
+			} else {
+				s.used = append(s.used, 0)
 			}
+			s.arcTo = append(s.arcTo, int32(y))
+			s.arcEdge = append(s.arcEdge, id)
 			return true
 		})
+		s.arcOff[x+1] = int32(len(s.arcTo))
+		s.parent[x] = -2
 	}
-	if parent[v] == -2 {
-		return nil
+	return s
+}
+
+// arcFind returns the index of arc x -> y, or -1.
+func (s *backupSearch) arcFind(x, y int) int {
+	for a := s.arcOff[x]; a < s.arcOff[x+1]; a++ {
+		if s.arcTo[a] == int32(y) {
+			return int(a)
+		}
 	}
-	rev := Path{v}
-	for x := v; parent[x] >= 0; {
-		x = int(parent[x])
-		rev = append(rev, x)
+	return -1
+}
+
+// markLinks stamps p's links as used, reporting false when p steps off
+// the graph.
+func (s *backupSearch) markLinks(p Path, stamp int32) bool {
+	for i := 0; i+1 < len(p); i++ {
+		a := s.arcFind(p[i], p[i+1])
+		if a < 0 {
+			return false
+		}
+		s.used[s.arcEdge[a]] = stamp
 	}
-	return rev.Reversed()
+	return true
+}
+
+// shortestPathAvoiding runs a BFS from u to v that never traverses a
+// link stamped with stamp, with deterministic smallest-id tie-breaking
+// (the same rule as ShortestPath). It returns nil when v is unreachable.
+func (s *backupSearch) shortestPathAvoiding(u, v int, stamp int32) Path {
+	s.parent[u] = -1
+	s.queue = append(s.queue[:0], int32(u))
+	for head := 0; head < len(s.queue) && s.parent[v] == -2; head++ {
+		x := s.queue[head]
+		for a := s.arcOff[x]; a < s.arcOff[x+1]; a++ {
+			if y := s.arcTo[a]; s.parent[y] == -2 && s.used[s.arcEdge[a]] != stamp {
+				s.parent[y] = x
+				s.queue = append(s.queue, y)
+			}
+		}
+	}
+	var p Path
+	if s.parent[v] != -2 {
+		hops := 0
+		for x := int32(v); s.parent[x] >= 0; x = s.parent[x] {
+			hops++
+		}
+		p = make(Path, hops+1)
+		for x, i := int32(v), hops; i >= 0; x, i = s.parent[x], i-1 {
+			p[i] = int(x)
+		}
+	}
+	for _, x := range s.queue {
+		s.parent[x] = -2
+	}
+	return p
+}
+
+// sortedKeys returns the pair keys of a route map in lexicographic
+// order, giving deterministic compilation, reinforcement and encoding.
+func sortedKeys[V any](routes map[pairKey]V) []pairKey {
+	keys := make([]pairKey, 0, len(routes))
+	for k := range routes {
+		keys = append(keys, k)
+	}
+	slices.SortFunc(keys, func(a, b pairKey) int {
+		if c := cmp.Compare(a.u, b.u); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.v, b.v)
+	})
+	return keys
 }

@@ -16,14 +16,16 @@ type multiJSON struct {
 }
 
 // MarshalJSON encodes the multirouting. For bidirectional multiroutings
-// only pairs with src < dst are stored (plus any asymmetric leftovers,
-// which cannot arise through Add but are preserved defensively).
+// only pairs with src < dst are stored. Pairs are written in (src, dst)
+// order and each pair's routes in route order, so the encoding is
+// canonical: equal multiroutings encode to equal bytes.
 func (m *MultiRouting) MarshalJSON() ([]byte, error) {
 	wire := multiJSON{Nodes: m.g.N(), Limit: m.limit, Bidirectional: m.bidirectional}
-	for key, paths := range m.routes {
+	for _, key := range sortedKeys(m.routes) {
 		if m.bidirectional && key.u > key.v {
 			continue
 		}
+		paths := m.routes[key]
 		group := make([][]int, len(paths))
 		for i, p := range paths {
 			group[i] = []int(p)

@@ -22,16 +22,15 @@ type routingJSON struct {
 
 // MarshalJSON encodes the routing with its underlying graph's node
 // count. For bidirectional routings only the direction with
-// src < dst (or the lexicographically smaller endpoints for equal) is
-// stored.
+// src < dst is stored. Routes are written in (src, dst) order, so the
+// encoding is canonical: equal routings encode to equal bytes.
 func (r *Routing) MarshalJSON() ([]byte, error) {
 	wire := routingJSON{Nodes: r.g.N(), Bidirectional: r.bidirectional}
-	r.Each(func(u, v int, p Path) {
-		if r.bidirectional && u > v {
-			return
+	for _, k := range sortedKeys(r.routes) {
+		if !r.bidirectional || k.u < k.v {
+			wire.Routes = append(wire.Routes, []int(r.routes[k]))
 		}
-		wire.Routes = append(wire.Routes, []int(p))
-	})
+	}
 	return json.Marshal(wire)
 }
 

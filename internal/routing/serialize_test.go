@@ -177,3 +177,51 @@ func TestDecodeMultiRoutingRejects(t *testing.T) {
 		t.Fatal("non-edge path should fail")
 	}
 }
+
+// TestJSONEncodingIsCanonical pins the wire form to one byte string per
+// routing: repeated encodings agree (map iteration order must not leak
+// into the output), and decode∘encode reproduces the bytes.
+func TestJSONEncodingIsCanonical(t *testing.T) {
+	g, err := gen.CCC(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := ShortestPath(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := Reinforce(r, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, err := json.Marshal(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	firstMulti, err := json.Marshal(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 5; i++ {
+		if again, _ := json.Marshal(r); !bytes.Equal(again, first) {
+			t.Fatalf("routing encoding %d differs from the first", i)
+		}
+		if again, _ := json.Marshal(m); !bytes.Equal(again, firstMulti) {
+			t.Fatalf("multirouting encoding %d differs from the first", i)
+		}
+	}
+	back, err := DecodeRouting(g, first)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again, _ := json.Marshal(back); !bytes.Equal(again, first) {
+		t.Fatal("decode∘encode changed the routing bytes")
+	}
+	backMulti, err := DecodeMultiRouting(g, firstMulti)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again, _ := json.Marshal(backMulti); !bytes.Equal(again, firstMulti) {
+		t.Fatal("decode∘encode changed the multirouting bytes")
+	}
+}
