@@ -284,7 +284,8 @@ func BenchmarkEngineDiameterCCC4(b *testing.B) {
 }
 
 // BenchmarkExhaustiveEngineCCC4F2 is the headline: exhaustive f=2
-// evaluation of the anchor instance through the incremental engine.
+// evaluation of the anchor instance through the incremental engine, on
+// the serial branch-and-bound executor.
 func BenchmarkExhaustiveEngineCCC4F2(b *testing.B) {
 	r := ccc4Circular(b)
 	b.ResetTimer()
@@ -310,7 +311,7 @@ func BenchmarkExhaustiveLegacyCCC4F2(b *testing.B) {
 }
 
 // BenchmarkExhaustiveEngineParallelCCC4F2 adds work-stealing engine
-// clones on top of the incremental path.
+// clones sharing the branch-and-bound incumbent.
 func BenchmarkExhaustiveEngineParallelCCC4F2(b *testing.B) {
 	r := ccc4Circular(b)
 	b.ResetTimer()
@@ -352,8 +353,9 @@ func BenchmarkEngineEdgeToggleCCC4(b *testing.B) {
 }
 
 // BenchmarkExhaustiveMixedEngineCCC4F2 is the edge-fault headline:
-// exhaustive mixed f=2 on the anchor instance. The universe is 64 nodes
-// + 96 edges, so 1 + 160 + C(160,2) = 12881 mixed fault sets.
+// exhaustive mixed f=2 on the anchor instance, on the serial
+// branch-and-bound executor. The universe is 64 nodes + 96 edges, so
+// 1 + 160 + C(160,2) = 12881 mixed fault sets.
 func BenchmarkExhaustiveMixedEngineCCC4F2(b *testing.B) {
 	r := ccc4Circular(b)
 	b.ResetTimer()
@@ -378,27 +380,14 @@ func BenchmarkExhaustiveMixedLegacyCCC4F2(b *testing.B) {
 	}
 }
 
-// BenchmarkExhaustiveMixedEngineParallelCCC4F2 adds work-stealing
-// engine clones over the n+m item universe.
-func BenchmarkExhaustiveMixedEngineParallelCCC4F2(b *testing.B) {
-	r := ccc4Circular(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res := eval.MaxDiameterMixedParallel(r, 2, eval.Config{Mode: eval.Exhaustive}, 0)
-		if res.Evaluated != 12881 {
-			b.Fatalf("evaluated %d", res.Evaluated)
-		}
-	}
-}
-
-// BenchmarkExhaustiveMixedBoundedParallelCCC4F2 runs the same parallel
-// mixed search on the branch-and-bound executor: work-stealing clones
-// share one (score, unit) incumbent.
+// BenchmarkExhaustiveMixedBoundedParallelCCC4F2 runs the same mixed
+// search on GOMAXPROCS workers of the branch-and-bound executor:
+// work-stealing clones share one (score, unit) incumbent.
 func BenchmarkExhaustiveMixedBoundedParallelCCC4F2(b *testing.B) {
 	r := ccc4Circular(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res := eval.MaxDiameterMixedParallel(r, 2, eval.Config{Mode: eval.Exhaustive, Bounded: true}, 0)
+		res := eval.MaxDiameterMixedParallel(r, 2, eval.Config{Mode: eval.Exhaustive}, 0)
 		if res.Evaluated != 12881 {
 			b.Fatalf("evaluated %d", res.Evaluated)
 		}
@@ -600,7 +589,9 @@ func BenchmarkWorstLinkCutsSampledCCC4F2(b *testing.B) {
 // The transported anchor: CCC(4) shortest-path routing made strictly
 // equivariant under a pair-free automorphism subgroup, the routing kind
 // EvalConfig.Pruned engages on. The *PlainSym* twins run the identical
-// search on the identical routing with pruning off, so each pruned/plain
+// search on the identical routing with pruning off — the node and mixed
+// ones as the plain engine enumeration, which is test-only code and so
+// lives in internal/eval/search_bench_test.go — so each pruned/plain
 // ns-ratio isolates the orbit enumerator's win; CI gates all three
 // ratios via cmd/benchdiff -gate-ratio.
 
@@ -637,19 +628,6 @@ func BenchmarkExhaustivePrunedCCC4F2(b *testing.B) {
 	}
 }
 
-// BenchmarkExhaustivePlainSymCCC4F2 is the same search on the same
-// transported routing with pruning off.
-func BenchmarkExhaustivePlainSymCCC4F2(b *testing.B) {
-	_, tr := ccc4Transported(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res := eval.MaxDiameter(tr, 2, eval.Config{Mode: eval.Exhaustive})
-		if res.Evaluated != 2081 {
-			b.Fatalf("evaluated %d", res.Evaluated)
-		}
-	}
-}
-
 // BenchmarkExhaustiveMixedPrunedCCC4F2 measures the orbit-pruned
 // exhaustive mixed search over CCC(4)'s 12881-set f=2 universe — the
 // acceptance anchor for the >=10x representative reduction.
@@ -658,19 +636,6 @@ func BenchmarkExhaustiveMixedPrunedCCC4F2(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		res := eval.MaxDiameterMixed(tr, 2, eval.Config{Mode: eval.Exhaustive, Pruned: true})
-		if res.Evaluated != 12881 {
-			b.Fatalf("evaluated %d", res.Evaluated)
-		}
-	}
-}
-
-// BenchmarkExhaustiveMixedPlainSymCCC4F2 is the mixed twin with pruning
-// off.
-func BenchmarkExhaustiveMixedPlainSymCCC4F2(b *testing.B) {
-	_, tr := ccc4Transported(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res := eval.MaxDiameterMixed(tr, 2, eval.Config{Mode: eval.Exhaustive})
 		if res.Evaluated != 12881 {
 			b.Fatalf("evaluated %d", res.Evaluated)
 		}
@@ -737,9 +702,12 @@ func BenchmarkE21Bounded(b *testing.B) { benchExperiment(b, "E21") }
 // The large anchors scale the exhaustive adversary past the 64-node
 // CCC(4) instance: CCC(7) has 896 nodes and Q10 has 1024, so a single
 // f=1 sweep runs ~900 incremental fault sets over ~13k-arc route
-// graphs. The Bounded variants must stay bit-identical to the plain
-// engine search (pinned by internal/eval's differential tests); CI
-// gates the Bounded/plain ns ratio so the branch-and-bound speedup
+// graphs. The Bounded benchmarks time the public exhaustive search,
+// which always runs on the branch-and-bound executor and must stay
+// bit-identical to the plain engine enumeration (pinned by
+// internal/eval's differential tests); CI gates their ns ratio against
+// that plain enumeration, BenchmarkExhaustiveEngineCCC7F1 in
+// internal/eval/search_bench_test.go, so the branch-and-bound speedup
 // cannot silently rot. Run these with -benchtime 1x: one iteration is
 // a full exhaustive sweep.
 
@@ -771,9 +739,9 @@ func q10Circular(b *testing.B) *Routing {
 	return r
 }
 
-// BenchmarkExhaustiveEngineCCC7F1 is the plain-engine baseline on the
-// 896-node anchor: one full BFS diameter per fault set.
-func BenchmarkExhaustiveEngineCCC7F1(b *testing.B) {
+// BenchmarkExhaustiveBoundedCCC7F1 is the branch-and-bound search on
+// the 896-node anchor: multi-pivot diameterAbove against the incumbent.
+func BenchmarkExhaustiveBoundedCCC7F1(b *testing.B) {
 	r := ccc7Circular(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -784,27 +752,14 @@ func BenchmarkExhaustiveEngineCCC7F1(b *testing.B) {
 	}
 }
 
-// BenchmarkExhaustiveBoundedCCC7F1 is the branch-and-bound search on
-// the same instance: multi-pivot diameterAbove against the incumbent.
-func BenchmarkExhaustiveBoundedCCC7F1(b *testing.B) {
-	r := ccc7Circular(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res := eval.MaxDiameter(r, 1, eval.Config{Mode: eval.Exhaustive, Bounded: true})
-		if res.Evaluated != 897 {
-			b.Fatalf("evaluated %d", res.Evaluated)
-		}
-	}
-}
-
 // BenchmarkExhaustiveBoundedParallelCCC7F1 adds work-stealing engine
 // clones sharing the branch-and-bound incumbent atomically. CI gates
-// this against BenchmarkExhaustiveEngineCCC7F1.
+// this against the plain BenchmarkExhaustiveEngineCCC7F1.
 func BenchmarkExhaustiveBoundedParallelCCC7F1(b *testing.B) {
 	r := ccc7Circular(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res := eval.MaxDiameterParallel(r, 1, eval.Config{Mode: eval.Exhaustive, Bounded: true}, 0)
+		res := eval.MaxDiameterParallel(r, 1, eval.Config{Mode: eval.Exhaustive}, 0)
 		if res.Evaluated != 897 {
 			b.Fatalf("evaluated %d", res.Evaluated)
 		}
@@ -817,7 +772,7 @@ func BenchmarkExhaustiveBoundedQ10F1(b *testing.B) {
 	r := q10Circular(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res := eval.MaxDiameter(r, 1, eval.Config{Mode: eval.Exhaustive, Bounded: true})
+		res := eval.MaxDiameter(r, 1, eval.Config{Mode: eval.Exhaustive})
 		if res.Evaluated != 1025 {
 			b.Fatalf("evaluated %d", res.Evaluated)
 		}

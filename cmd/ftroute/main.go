@@ -73,9 +73,8 @@ func run(args []string) error {
 		construction = fs.String("construction", "auto", "auto|kernel|circular|tricircular|bipolar|bipolar-bi|shortest")
 		faults       = fs.Int("faults", -1, "fault budget (default: tolerance t)")
 		samples      = fs.Int("samples", 200, "random fault sets when not exhaustive")
-		exhaustive   = fs.Bool("exhaustive", false, "enumerate all fault sets (exponential)")
+		exhaustive   = fs.Bool("exhaustive", false, "enumerate all fault sets (exponential); tolerate's worst-case search runs branch and bound, with results bit-identical to measuring every set (docs/perf.md)")
 		pruned       = fs.Bool("pruned", false, "exhaustive searches: evaluate one fault set per automorphism orbit when the routing respects the symmetry (falls back silently otherwise)")
-		bounded      = fs.Bool("bounded", false, "exhaustive worst-case searches: branch-and-bound, skipping fault sets that provably cannot beat the incumbent worst diameter (bit-identical results; per-size profiles always run this way, see docs/perf.md)")
 		mixed        = fs.Bool("mixed", false, "tolerate/failover: spend the fault budget on nodes and links combined")
 		lambda       = fs.Float64("lambda", 0, "failover -mixed: weight of skipped pairs in the adversary objective disrupted+lambda*skipped")
 		table        = fs.String("table", "", "routing-table file for export/check")
@@ -107,11 +106,11 @@ func run(args []string) error {
 	case "orbits":
 		return orbits(g, *faults)
 	case "tolerate":
-		return tolerate(g, *construction, *faults, *samples, *seed, *exhaustive, *pruned, *bounded, *mixed)
+		return tolerate(g, *construction, *faults, *samples, *seed, *exhaustive, *pruned, *mixed)
 	case "simulate":
 		return simulate(g, *construction, *faults, *samples, *seed)
 	case "failover":
-		return failover(g, *construction, *cuts, *backups, *retries, *messages, *samples, *seed, *exhaustive, *pruned, *bounded, *mixed, *lambda)
+		return failover(g, *construction, *cuts, *backups, *retries, *messages, *samples, *seed, *exhaustive, *pruned, *mixed, *lambda)
 	case "export":
 		return export(g, *construction, *table)
 	case "check":
@@ -183,7 +182,7 @@ func simulate(g *ftroute.Graph, construction string, faults, samples int, seed i
 // as a mid-run fault-injection in the simulator: the faults land a
 // third of the way through the workload and are repaired at two
 // thirds, with each stuck message retrying from its stuck node.
-func failover(g *ftroute.Graph, construction string, cuts, backups, retries, messages, samples int, seed int64, exhaustive, pruned, bounded, mixed bool, lambda float64) error {
+func failover(g *ftroute.Graph, construction string, cuts, backups, retries, messages, samples int, seed int64, exhaustive, pruned, mixed bool, lambda float64) error {
 	r, _, err := build(g, construction)
 	if err != nil {
 		return err
@@ -203,13 +202,10 @@ func failover(g *ftroute.Graph, construction string, cuts, backups, retries, mes
 	cfg := ftroute.EvalConfig{Mode: ftroute.Sampled, Samples: samples, Greedy: true, Seed: seed}
 	mode := "sampled+greedy+concentrator"
 	if exhaustive {
-		cfg = ftroute.EvalConfig{Mode: ftroute.Exhaustive, Pruned: pruned, Bounded: bounded}
+		cfg = ftroute.EvalConfig{Mode: ftroute.Exhaustive, Pruned: pruned}
 		mode = "exhaustive"
 		if pruned {
 			mode = "exhaustive, orbit-pruned"
-		}
-		if bounded {
-			mode += ", branch-and-bound"
 		}
 	}
 	cfg.SkippedWeight = lambda
@@ -583,7 +579,7 @@ func build(g *ftroute.Graph, construction string) (interface {
 	}
 }
 
-func tolerate(g *ftroute.Graph, construction string, faults, samples int, seed int64, exhaustive, pruned, bounded, mixed bool) error {
+func tolerate(g *ftroute.Graph, construction string, faults, samples int, seed int64, exhaustive, pruned, mixed bool) error {
 	r, bt, err := build(g, construction)
 	if err != nil {
 		return err
@@ -594,7 +590,7 @@ func tolerate(g *ftroute.Graph, construction string, faults, samples int, seed i
 	}
 	cfg := ftroute.EvalConfig{Mode: ftroute.Sampled, Samples: samples, Greedy: true, Seed: seed}
 	if exhaustive {
-		cfg = ftroute.EvalConfig{Mode: ftroute.Exhaustive, Pruned: pruned, Bounded: bounded}
+		cfg = ftroute.EvalConfig{Mode: ftroute.Exhaustive, Pruned: pruned}
 	}
 	if mixed {
 		ms, ok := r.(ftroute.MixedSurvivor)

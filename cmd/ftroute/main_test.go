@@ -1,6 +1,7 @@
 package main
 
 import (
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -160,5 +161,76 @@ func TestCheckRequiresFlags(t *testing.T) {
 	}
 	if err := run([]string{"check", "-graph", "cycle:9", "-table", table}); err == nil {
 		t.Fatal("missing -bound should fail")
+	}
+}
+
+// captureStdout runs fn with os.Stdout redirected to a pipe and returns
+// everything it printed.
+func captureStdout(t *testing.T, fn func() error) string {
+	t.Helper()
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan []byte)
+	go func() {
+		b, _ := io.ReadAll(r) // a pipe read fails only once w is closed
+		done <- b
+	}()
+	stdout := os.Stdout
+	os.Stdout = w
+	runErr := fn()
+	os.Stdout = stdout
+	w.Close()
+	out := <-done
+	r.Close()
+	if runErr != nil {
+		t.Fatal(runErr)
+	}
+	return string(out)
+}
+
+// TestFailoverExhaustiveModeLine pins the adversary mode line of
+// failover -exhaustive. The link-cut and mixed packet-level adversaries
+// enumerate every set on the WalkEngine; no flag makes them branch and
+// bound, and the line must not claim otherwise.
+func TestFailoverExhaustiveModeLine(t *testing.T) {
+	for _, tc := range []struct {
+		extra []string
+		want  string
+	}{
+		{nil, "adversary (exhaustive, budget 1):\n"},
+		{[]string{"-pruned"}, "adversary (exhaustive, orbit-pruned, budget 1):\n"},
+		{[]string{"-mixed"}, "adversary (exhaustive, mixed node+link budget 1):\n"},
+	} {
+		args := append([]string{"failover", "-graph", "cycle:9", "-construction", "circular", "-cuts", "1", "-messages", "60", "-exhaustive"}, tc.extra...)
+		out := captureStdout(t, func() error { return run(args) })
+		if !strings.Contains(out, "\n"+tc.want) {
+			t.Fatalf("%v: output lacks mode line %q:\n%s", tc.extra, tc.want, out)
+		}
+	}
+	if err := run([]string{"failover", "-graph", "cycle:9", "-exhaustive", "-bounded"}); err == nil {
+		t.Fatal("-bounded should be an unknown flag")
+	}
+}
+
+// TestTolerateExhaustiveMixedOutput pins the full output of an
+// exhaustive mixed tolerate run: the worst case, its witness and set
+// count come from MaxDiameterUnderMixedFaultsParallel on the
+// branch-and-bound executor, and the per-size rows from the profile.
+func TestTolerateExhaustiveMixedOutput(t *testing.T) {
+	const want = `auto chose kernel: (4, 2)-tolerant — fallback: kernel routing applies to every non-complete (t+1)-connected graph
+worst case over mixed node+link fault sets of total size <= 2 (bound 4 for node faults <= 2):
+  surviving diameter 4 (worst nodes {1,12}, links []; 1831 sets evaluated)
+worst-case surviving diameter by exact mixed fault-set size:
+  |F|+|E| = 0: 2
+  |F|+|E| = 1: 3
+  |F|+|E| = 2: 4
+`
+	out := captureStdout(t, func() error {
+		return run([]string{"tolerate", "-graph", "ccc:3", "-exhaustive", "-mixed"})
+	})
+	if out != want {
+		t.Fatalf("output changed:\n%s\nwant:\n%s", out, want)
 	}
 }

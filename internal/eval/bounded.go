@@ -7,21 +7,22 @@ import (
 	"ftroute/internal/graph"
 )
 
-// This file implements Config.Bounded and the exhaustive Profile path:
-// branch-and-bound exhaustive adversary search. The plain searches
-// compute the full diameter of every surviving graph; the bounded
-// search threads a best-so-far score through the enumeration and
-// evaluates each fault set with the pivot-pruned diameterAbove kernel
-// instead, so sets that cannot beat the incumbent cost ~2 BFS rather
-// than n.
+// This file is the one exhaustive engine search behind MaxDiameter,
+// MaxDiameterMixed, their Parallel drivers, Profile and ProfileMixed:
+// branch and bound. A plain search would compute the full diameter of
+// every surviving graph; this one threads a best-so-far score through
+// the enumeration and evaluates each fault set with the pivot-pruned
+// diameterAbove kernel instead, so sets that cannot beat the incumbent
+// cost ~2 BFS rather than n.
 //
-// Every bounded search runs on one executor, bbSearch: the root (empty)
-// set, then numbered work units stolen by workers on engine clones (the
+// Every search runs on one executor, bbSearch: the root (empty) set,
+// then numbered work units stolen by workers on engine clones (the
 // serial search is one worker on the caller's engine), merged in unit
 // order. A unit is either the subtree of sets whose smallest item is a
 // given item (exact-size or size-1..f walk) or a chunk of an orbit-
 // pruned representative list. Three invariants make the results
-// bit-identical to the plain search:
+// bit-identical to the plain enumeration (the test oracle in
+// search_oracle_test.go):
 //
 //   - The incumbent is a (score, unit) pair: a higher score wins and,
 //     on a tie, the earlier unit wins. A set of unit u skips at the
@@ -45,9 +46,10 @@ import (
 // Profile mode drops the witness: every incumbent counts as earlier (so
 // ties skip too) and the first disconnection stops every worker.
 //
-// Legacy Survivors without route enumeration ignore Bounded and take
-// the plain path, as do the Sampled-mode searches (each sample is an
-// independent SetFaults, so there is no enumeration tree to prune).
+// Legacy Survivors without route enumeration take the rebuild-per-set
+// path, and the Sampled-mode searches evaluate each sample in full
+// (each sample is an independent SetFaults, so there is no enumeration
+// tree to prune).
 
 // incumbent is the shared best-so-far, packed as score<<32|(unitMask−unit)
 // so one atomic max orders it: a higher score wins, then an earlier
@@ -305,11 +307,16 @@ func (s *bbSearch) exec(e *Engine, clones []*Engine) MixedResult {
 	return merged
 }
 
-// boundedSearch is the exhaustive branch-and-bound search over fault
-// sets of size 0..f of the n+len(edges) item universe on workers
-// engines, bit-identical to the plain search.
-func (e *Engine) boundedSearch(edges [][2]int, f, workers int) MixedResult {
-	return firstItemSearch(e.n, edges, max(f, 0), false).exec(e, make([]*Engine, workers))
+// exhaustiveSearch is the exhaustive search over fault sets of size
+// 0..f (f >= 0) of the n+len(edges) item universe on workers engines:
+// over the orbit representatives of plan when it is non-nil, over every
+// set otherwise. The result is bit-identical to the plain enumeration.
+func (e *Engine) exhaustiveSearch(edges [][2]int, f, workers int, plan *prunedReps) MixedResult {
+	s := firstItemSearch(e.n, edges, f, false)
+	if plan != nil {
+		s = prunedSearch(plan, edges, workers)
+	}
+	return s.exec(e, make([]*Engine, workers))
 }
 
 // profileSearch is the witness-free exhaustive search over fault sets

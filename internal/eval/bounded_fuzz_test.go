@@ -7,12 +7,12 @@ import (
 	"ftroute/internal/routing"
 )
 
-// FuzzBoundedEquivalence pins the branch-and-bound exhaustive search to
-// the plain one on random small graphs: for every generated instance
-// the bounded flag must not change the score, the disconnection
-// verdict, the Evaluated count, or the first-max witness, in either
-// fault universe, serial or parallel at 2–8 workers. Profile and
-// ProfileMixed, whose exhaustive path is always branch and bound, must
+// FuzzBoundedEquivalence pins the exhaustive searches, which run on
+// the branch-and-bound executor, to the plain engine enumeration of
+// search_oracle_test.go on random small graphs: for every generated
+// instance MaxDiameter, MaxDiameterMixed and their Parallel drivers at
+// 2–8 workers must reproduce the oracle's score, disconnection verdict,
+// Evaluated count and first-max witness. Profile and ProfileMixed must
 // match the plain exact-k enumerators, also when run directly on the
 // fuzzed worker count. This is the bit-identity invariant the
 // branch-and-bound speedup rests on (see docs/perf.md).
@@ -31,21 +31,20 @@ func FuzzBoundedEquivalence(f *testing.F) {
 		workers := 2 + int(wRaw)%7
 
 		cfg := Config{Mode: Exhaustive}
-		cfgB := Config{Mode: Exhaustive, Bounded: true}
 
-		want := MaxDiameter(r, budget, cfg)
-		sameResult(t, "serial", MaxDiameter(r, budget, cfgB), want)
-		sameResult(t, "parallel", MaxDiameterParallel(r, budget, cfgB, workers), want)
+		want := plainMaxDiameter(r, budget, false, 1)
+		sameResult(t, "serial", MaxDiameter(r, budget, cfg), want)
+		sameResult(t, "parallel", MaxDiameterParallel(r, budget, cfg, workers), want)
 
-		wantM := MaxDiameterMixed(r, budget, cfg)
-		sameMixedResult(t, "mixed serial", MaxDiameterMixed(r, budget, cfgB), wantM)
-		sameMixedResult(t, "mixed parallel", MaxDiameterMixedParallel(r, budget, cfgB, workers), wantM)
+		wantM := plainMaxDiameterMixed(r, budget, false, 1)
+		sameMixedResult(t, "mixed serial", MaxDiameterMixed(r, budget, cfg), wantM)
+		sameMixedResult(t, "mixed parallel", MaxDiameterMixedParallel(r, budget, cfg, workers), wantM)
 
 		prof, profM := profileOracle(r, budget)
-		if got := Profile(r, budget, cfgB); !slices.Equal(got, prof) {
+		if got := Profile(r, budget, cfg); !slices.Equal(got, prof) {
 			t.Fatalf("profile %v != plain %v", got, prof)
 		}
-		if got := ProfileMixed(r, budget, cfgB); !slices.Equal(got, profM) {
+		if got := ProfileMixed(r, budget, cfg); !slices.Equal(got, profM) {
 			t.Fatalf("mixed profile %v != plain %v", got, profM)
 		}
 		eng := NewEngine(r)

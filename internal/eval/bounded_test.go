@@ -14,8 +14,10 @@ import (
 
 // boundedSources builds the equivalence anchors the branch-and-bound
 // search is pinned against: a cycle edge routing, two symmetric paper
-// constructions (orbit pruning kicks in when Pruned is set), and a
-// seeded asymmetric random graph (pruning falls back to plain).
+// constructions (orbit pruning kicks in when Pruned is set), a seeded
+// asymmetric random graph (pruning falls back to the full enumeration),
+// and a circular routing on a seeded random 3-regular graph, whose
+// route graph has the hub-and-spoke shape of the mixed-rr160 workload.
 func boundedSources(t *testing.T) map[string]*routing.Routing {
 	t.Helper()
 	srcs := make(map[string]*routing.Routing)
@@ -48,28 +50,35 @@ func boundedSources(t *testing.T) map[string]*routing.Routing {
 	}
 	srcs["gnp13-sp"] = sp
 
+	rr, _, err := gen.RandomRegularConnected(16, 3, 5, 100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if srcs["rr16-circular"], _, err = core.Circular(rr, core.Options{Tolerance: 1}); err != nil {
+		t.Fatal(err)
+	}
+
 	return srcs
 }
 
-// TestBoundedMatchesPlain pins the branch-and-bound node-fault search
-// to the plain exhaustive search bit for bit — score, taxonomy,
-// Evaluated, and the first-max witness — across fault budgets, worker
+// TestBoundedMatchesPlain pins MaxDiameter and MaxDiameterParallel,
+// whose exhaustive engine path is the branch-and-bound executor, to the
+// plain engine enumeration of search_oracle_test.go bit for bit —
+// score, taxonomy, Evaluated, and the first-max witness (the canonical
+// representative's under Pruned) — across fault budgets, worker
 // counts, and the Pruned toggle.
 func TestBoundedMatchesPlain(t *testing.T) {
 	for name, s := range boundedSources(t) {
 		for _, f := range []int{1, 2} {
 			for _, pruned := range []bool{false, true} {
 				cfg := Config{Mode: Exhaustive, Pruned: pruned}
-				cfgB := cfg
-				cfgB.Bounded = true
-				want := MaxDiameter(s, f, cfg)
-				got := MaxDiameter(s, f, cfgB)
-				sameResult(t, fmt.Sprintf("%s f=%d pruned=%v serial", name, f, pruned), got, want)
+				want := plainMaxDiameter(s, f, pruned, 1)
+				sameResult(t, fmt.Sprintf("%s f=%d pruned=%v serial", name, f, pruned), MaxDiameter(s, f, cfg), want)
 				for _, workers := range []int{1, 2, 8} {
-					wantP := MaxDiameterParallel(s, f, cfg, workers)
-					gotP := MaxDiameterParallel(s, f, cfgB, workers)
-					sameResult(t, fmt.Sprintf("%s f=%d pruned=%v w=%d plain-par", name, f, pruned, workers), wantP, want)
-					sameResult(t, fmt.Sprintf("%s f=%d pruned=%v w=%d bounded-par", name, f, pruned, workers), gotP, want)
+					sameResult(t, fmt.Sprintf("%s f=%d pruned=%v w=%d plain-par", name, f, pruned, workers),
+						plainMaxDiameter(s, f, pruned, workers), want)
+					sameResult(t, fmt.Sprintf("%s f=%d pruned=%v w=%d bounded-par", name, f, pruned, workers),
+						MaxDiameterParallel(s, f, cfg, workers), want)
 				}
 			}
 		}
@@ -83,16 +92,13 @@ func TestBoundedMatchesPlainMixed(t *testing.T) {
 		for _, f := range []int{1, 2} {
 			for _, pruned := range []bool{false, true} {
 				cfg := Config{Mode: Exhaustive, Pruned: pruned}
-				cfgB := cfg
-				cfgB.Bounded = true
-				want := MaxDiameterMixed(s, f, cfg)
-				got := MaxDiameterMixed(s, f, cfgB)
-				sameMixedResult(t, fmt.Sprintf("%s f=%d pruned=%v serial", name, f, pruned), got, want)
+				want := plainMaxDiameterMixed(s, f, pruned, 1)
+				sameMixedResult(t, fmt.Sprintf("%s f=%d pruned=%v serial", name, f, pruned), MaxDiameterMixed(s, f, cfg), want)
 				for _, workers := range []int{1, 2, 8} {
-					wantP := MaxDiameterMixedParallel(s, f, cfg, workers)
-					gotP := MaxDiameterMixedParallel(s, f, cfgB, workers)
-					sameMixedResult(t, fmt.Sprintf("%s f=%d pruned=%v w=%d plain-par", name, f, pruned, workers), wantP, want)
-					sameMixedResult(t, fmt.Sprintf("%s f=%d pruned=%v w=%d bounded-par", name, f, pruned, workers), gotP, want)
+					sameMixedResult(t, fmt.Sprintf("%s f=%d pruned=%v w=%d plain-par", name, f, pruned, workers),
+						plainMaxDiameterMixed(s, f, pruned, workers), want)
+					sameMixedResult(t, fmt.Sprintf("%s f=%d pruned=%v w=%d bounded-par", name, f, pruned, workers),
+						MaxDiameterMixedParallel(s, f, cfg, workers), want)
 				}
 			}
 		}
@@ -121,9 +127,9 @@ func profileScore(diam int, disconnected bool) int {
 	return diam
 }
 
-// profileSources adds to boundedSources the larger profile anchors —
-// CCC(4) circular and a seeded random 3-regular graph — and a fragile
-// single-route cycle that one fault disconnects, so -1 appears.
+// profileSources adds to boundedSources the larger profile anchor
+// CCC(4) circular and a fragile single-route cycle that one fault
+// disconnects, so -1 appears.
 func profileSources(t *testing.T) map[string]*routing.Routing {
 	t.Helper()
 	srcs := boundedSources(t)
@@ -132,13 +138,6 @@ func profileSources(t *testing.T) map[string]*routing.Routing {
 		t.Fatal(err)
 	}
 	if srcs["ccc4-circular"], _, err = core.Circular(ccc, core.Options{Tolerance: 2}); err != nil {
-		t.Fatal(err)
-	}
-	rr, _, err := gen.RandomRegularConnected(16, 3, 5, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if srcs["rr16-circular"], _, err = core.Circular(rr, core.Options{Tolerance: 1}); err != nil {
 		t.Fatal(err)
 	}
 	c8, err := gen.Cycle(8)
@@ -150,22 +149,19 @@ func profileSources(t *testing.T) map[string]*routing.Routing {
 }
 
 // TestBoundedProfileMatchesPlain pins Profile and ProfileMixed, whose
-// exhaustive engine path is always the parallel branch-and-bound
-// search, to the plain exact-k enumerators on both universes, with the
-// Bounded flag on and off (Profile ignores it).
+// exhaustive engine path is the parallel branch-and-bound search, to
+// the plain exact-k enumerators on both universes.
 func TestBoundedProfileMatchesPlain(t *testing.T) {
 	sawDisconnect := false
+	cfg := Config{Mode: Exhaustive}
 	for name, s := range profileSources(t) {
 		want, wantM := profileOracle(s, 2)
 		sawDisconnect = sawDisconnect || slices.Contains(want, -1)
-		for _, bounded := range []bool{false, true} {
-			cfg := Config{Mode: Exhaustive, Bounded: bounded}
-			if got := Profile(s, 2, cfg); !slices.Equal(got, want) {
-				t.Fatalf("%s bounded=%v: profile %v != plain %v", name, bounded, got, want)
-			}
-			if got := ProfileMixed(s, 2, cfg); !slices.Equal(got, wantM) {
-				t.Fatalf("%s bounded=%v: mixed profile %v != plain %v", name, bounded, got, wantM)
-			}
+		if got := Profile(s, 2, cfg); !slices.Equal(got, want) {
+			t.Fatalf("%s: profile %v != plain %v", name, got, want)
+		}
+		if got := ProfileMixed(s, 2, cfg); !slices.Equal(got, wantM) {
+			t.Fatalf("%s: mixed profile %v != plain %v", name, got, wantM)
 		}
 	}
 	if !sawDisconnect {
@@ -181,7 +177,7 @@ func TestBoundedProfileMatchesPlain(t *testing.T) {
 // first unit skip every set; the search must detect that and replay.
 func TestBoundedReplaysBorrowedPrefix(t *testing.T) {
 	r := cycleRouting(t, 8)
-	want := MaxDiameter(r, 2, Config{Mode: Exhaustive})
+	want := plainMaxDiameter(r, 2, false, 1)
 	if !want.Disconnected || want.MaxDiameter == 0 {
 		t.Fatalf("anchor should disconnect after a positive prefix maximum: %v", want)
 	}

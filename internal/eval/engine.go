@@ -1028,13 +1028,8 @@ func engineFor(s Survivor) *Engine {
 // the semantics of evalOne: fewer than two alive nodes contribute
 // nothing, disconnection dominates and freezes the diameter, and the
 // first worst case in evaluation order is kept as the witness.
-func (e *Engine) fold(res *Result) { e.foldW(res, 1) }
-
-// foldW is fold counting the current set for mult evaluations — the
-// orbit-pruned searches fold one canonical representative per orbit and
-// reconstruct the plain enumeration's Evaluated count from orbit sizes.
-func (e *Engine) foldW(res *Result, mult int) {
-	res.Evaluated += mult
+func (e *Engine) fold(res *Result) {
+	res.Evaluated++
 	if e.aliveCount <= 1 {
 		return
 	}

@@ -27,6 +27,19 @@
 // to the legacy SurvivingGraph+Diameter path, which is retained as a
 // compatibility fallback for custom Survivor implementations.
 //
+// # Exhaustive search
+//
+// Every exhaustive engine search — MaxDiameter, MaxDiameterMixed, their
+// Parallel drivers, with or without Config.Pruned, and Profile and
+// ProfileMixed — runs on one branch-and-bound executor (bounded.go):
+// work-stealing engine clones share a best-so-far incumbent, and each
+// fault set only decides whether its surviving diameter beats it
+// (Engine.diameterAbove). The results — score, disconnection,
+// Evaluated and the first-in-order witness — are bit-identical to a
+// plain enumeration that measures every set in full, which the tests
+// keep as their oracle, so no option selects the plain walk. See
+// docs/perf.md.
+//
 // # Mixed fault model
 //
 // The paper reduces edge faults to node faults by declaring one
@@ -89,25 +102,12 @@ type Config struct {
 	// nontrivial subgroup of the graph's automorphism group, only one
 	// canonical representative per fault-set orbit is evaluated and its
 	// orbit size reconstructs the full Evaluated count. Results carry
-	// the same worst scores and counts as the plain enumeration; the
+	// the same worst scores and counts as the unpruned enumeration; the
 	// reported witness is the canonical member of a worst orbit, which
-	// may differ from the plain witness set. When the symmetry check
+	// may differ from the unpruned witness set. When the symmetry check
 	// fails (or the group is trivial or too large) the search silently
-	// falls back to the plain enumeration. See docs/symmetry.md.
+	// falls back to enumerating every set. See docs/symmetry.md.
 	Pruned bool
-	// Bounded enables, for MaxDiameter, MaxDiameterMixed and their
-	// Parallel drivers in Exhaustive mode (plain and Pruned), branch-and-
-	// bound evaluation: a best-so-far (score, unit) incumbent is threaded
-	// through the enumeration (shared atomically across workers) and
-	// each fault set runs the pivot-pruned diameterAbove kernel,
-	// abandoning sets that cannot beat the incumbent after ~2 BFS
-	// instead of computing the full diameter. Results — scores,
-	// taxonomy, Evaluated, and the first-max witness — are bit-identical
-	// to the plain search. Survivors that cannot enumerate their routes,
-	// and Sampled mode (no enumeration tree to prune), ignore the flag.
-	// Profile and ProfileMixed ignore it too: their exhaustive engine
-	// path is always bounded. See docs/perf.md.
-	Bounded bool
 	// SkippedWeight is the λ of the mixed packet-level adversary
 	// (WorstMixedFaults): fault sets are ranked by the score
 	// disrupted + λ·skipped instead of disrupted pairs alone, letting
@@ -135,22 +135,39 @@ func (r Result) String() string {
 // MaxDiameter searches fault sets of size at most f and returns the
 // worst surviving diameter found. Disconnection (some ordered pair with
 // no surviving path) dominates any finite diameter.
+//
+// In Exhaustive mode on a RouteSource the search runs serially on the
+// branch-and-bound executor (bounded.go, docs/perf.md): each set only
+// has to decide whether it beats the incumbent worst diameter, yet the
+// score, disconnection flag, Evaluated count and first-in-order witness
+// equal those of a plain enumeration that measures every set in full.
+// Other Survivors rebuild the surviving graph per set.
 func MaxDiameter(s Survivor, f int, cfg Config) Result {
-	switch cfg.Mode {
-	case Exhaustive:
-		if cfg.Pruned {
-			if res, ok := exhaustivePruned(s, f, 1, cfg.Bounded); ok {
-				return res
-			}
-		}
-		if cfg.Bounded {
-			if eng := engineFor(s); eng != nil {
-				return eng.boundedSearch(nil, f, 1).node()
-			}
-		}
-		return exhaustive(s, f)
-	default:
+	if cfg.Mode != Exhaustive {
 		return sampled(s, f, cfg)
+	}
+	return exhaustiveOn(s, f, cfg.Pruned, 1)
+}
+
+// exhaustiveOn is the exhaustive node-fault search of MaxDiameter and
+// MaxDiameterParallel: on workers engines of the branch-and-bound
+// executor, over orbit representatives when pruned and the routing is
+// equivariant; Survivors that cannot enumerate their routes take the
+// rebuild-per-set walk.
+func exhaustiveOn(s Survivor, f int, pruned bool, workers int) Result {
+	f = max(f, 0)
+	eng := engineFor(s)
+	switch {
+	case eng != nil:
+		var plan *prunedReps
+		if pruned {
+			plan = nodeReps(s, f)
+		}
+		return eng.exhaustiveSearch(nil, f, workers, plan).node()
+	case workers > 1 && f > 0:
+		return legacyExhaustiveParallel(s, f, workers)
+	default:
+		return exhaustive(s, f)
 	}
 }
 
@@ -177,18 +194,9 @@ func evalOne(s Survivor, faults *graph.Bitset, res *Result) {
 	}
 }
 
-// exhaustive enumerates all fault sets of size 0..f. A negative budget
-// means the empty set only.
+// exhaustive enumerates all fault sets of size 0..f through the legacy
+// rebuild-per-set path.
 func exhaustive(s Survivor, f int) Result {
-	if f < 0 {
-		f = 0
-	}
-	if eng := engineFor(s); eng != nil {
-		res := Result{WorstFaults: graph.NewBitset(eng.N())}
-		eng.fold(&res) // empty set
-		eng.descend(0, f, &res)
-		return res
-	}
 	n := s.Graph().N()
 	res := Result{WorstFaults: graph.NewBitset(n)}
 	faults := graph.NewBitset(n)
@@ -207,22 +215,6 @@ func exhaustive(s Survivor, f int) Result {
 	}
 	rec(0, f)
 	return res
-}
-
-// descend walks the exhaustive enumeration subtree of fault sets that
-// extend the engine's current set with nodes from start..n-1, up to
-// left more faults, evaluating every set in the same preorder as the
-// legacy recursion. The engine is restored on return.
-func (e *Engine) descend(start, left int, res *Result) {
-	if left == 0 {
-		return
-	}
-	for v := start; v < e.n; v++ {
-		e.AddFault(v)
-		e.fold(res)
-		e.descend(v+1, left-1, res)
-		e.RemoveFault(v)
-	}
 }
 
 // sampled draws random fault sets of size exactly f and optionally runs
@@ -441,10 +433,10 @@ func (e *Engine) checkTolerance(d, f int) error {
 // with MaxDiameter but evaluates each size separately, which is the
 // shape of the per-fault-count tables in EXPERIMENTS.md.
 //
-// In Exhaustive mode on a RouteSource, Profile is always branch and
-// bound, whatever cfg.Bounded says: each size runs on GOMAXPROCS
-// workers whose engine clones are reused across sizes, without a
-// witness, and stops at the first disconnecting set (see docs/perf.md).
+// In Exhaustive mode on a RouteSource, each size runs on the
+// branch-and-bound executor with GOMAXPROCS workers whose engine clones
+// are reused across sizes, without a witness, and stops at the first
+// disconnecting set (see docs/perf.md).
 func Profile(s Survivor, f int, cfg Config) []int {
 	out := make([]int, f+1)
 	eng := engineFor(s) // compiled once, reused across fault counts

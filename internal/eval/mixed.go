@@ -91,12 +91,8 @@ func evalOneMixed(s MixedSurvivor, nf *graph.Bitset, edges []routing.EdgeFault, 
 
 // foldMixed evaluates the engine's current mixed fault set into res
 // with exactly the semantics of evalOneMixed.
-func (e *Engine) foldMixed(res *MixedResult) { e.foldMixedW(res, 1) }
-
-// foldMixedW is foldMixed counting the current set for mult
-// evaluations, the mixed counterpart of foldW.
-func (e *Engine) foldMixedW(res *MixedResult, mult int) {
-	res.Evaluated += mult
+func (e *Engine) foldMixed(res *MixedResult) {
+	res.Evaluated++
 	if e.aliveCount <= 1 {
 		return
 	}
@@ -119,42 +115,42 @@ func (e *Engine) foldMixedW(res *MixedResult, mult int) {
 // MaxDiameterMixed searches mixed fault sets — any combination of node
 // and edge faults of total size at most f — for the worst surviving
 // diameter of the literal mixed model. Exhaustive mode enumerates every
-// subset of the n+m item universe of size 0..f; Sampled mode draws
-// uniform random mixed sets of size f (plus the empty set) and, with
-// cfg.Greedy, grows an adversarial mixed set one item at a time.
+// subset of the n+m item universe of size 0..f, on the serial
+// branch-and-bound executor when s can enumerate its routes (see
+// MaxDiameter); Sampled mode draws uniform random mixed sets of size f
+// (plus the empty set) and, with cfg.Greedy, grows an adversarial mixed
+// set one item at a time.
 func MaxDiameterMixed(s MixedSurvivor, f int, cfg Config) MixedResult {
-	switch cfg.Mode {
-	case Exhaustive:
-		if cfg.Pruned {
-			if res, ok := exhaustiveMixedPruned(s, f, 1, cfg.Bounded); ok {
-				return res
-			}
-		}
-		if cfg.Bounded {
-			if eng := engineFor(s); eng != nil {
-				return eng.boundedSearch(s.Graph().Edges(), f, 1)
-			}
-		}
-		return exhaustiveMixed(s, f)
-	default:
+	if cfg.Mode != Exhaustive {
 		return sampledMixed(s, f, cfg)
 	}
+	return exhaustiveMixedOn(s, f, cfg.Pruned, 1)
+}
+
+// exhaustiveMixedOn is the exhaustive mixed search of MaxDiameterMixed
+// and MaxDiameterMixedParallel: on workers engines of the branch-and-
+// bound executor, over orbit representatives when pruned and the
+// routing is equivariant; Survivors that cannot enumerate their routes
+// take the serial rebuild-per-set walk.
+func exhaustiveMixedOn(s MixedSurvivor, f int, pruned bool, workers int) MixedResult {
+	f = max(f, 0)
+	eng := engineFor(s)
+	if eng == nil {
+		return exhaustiveMixed(s, f)
+	}
+	var plan *prunedReps
+	if pruned {
+		plan = mixedReps(s, f)
+	}
+	return eng.exhaustiveSearch(s.Graph().Edges(), f, workers, plan)
 }
 
 // exhaustiveMixed enumerates all mixed fault sets of size 0..f in
-// preorder over the item universe (nodes first, then edges).
+// preorder over the item universe (nodes first, then edges) through the
+// legacy rebuild path.
 func exhaustiveMixed(s MixedSurvivor, f int) MixedResult {
-	if f < 0 {
-		f = 0
-	}
 	n := s.Graph().N()
 	edges := s.Graph().Edges()
-	if eng := engineFor(s); eng != nil {
-		res := MixedResult{WorstNodeFaults: graph.NewBitset(n)}
-		eng.foldMixed(&res) // empty set
-		eng.descendMixed(0, f, edges, &res)
-		return res
-	}
 	res := MixedResult{WorstNodeFaults: graph.NewBitset(n)}
 	nf := graph.NewBitset(n)
 	var cur []routing.EdgeFault
@@ -182,22 +178,6 @@ func exhaustiveMixed(s MixedSurvivor, f int) MixedResult {
 	}
 	rec(0, f)
 	return res
-}
-
-// descendMixed walks the exhaustive mixed enumeration subtree extending
-// the engine's current set with items from start.., up to left more
-// faults, in the same preorder as the legacy recursion. Item k < n is
-// node k; item k >= n is edges[k-n]. The engine is restored on return.
-func (e *Engine) descendMixed(start, left int, edges [][2]int, res *MixedResult) {
-	if left == 0 {
-		return
-	}
-	for v := start; v < e.n+len(edges); v++ {
-		e.toggleItem(v, edges, true)
-		e.foldMixed(res)
-		e.descendMixed(v+1, left-1, edges, res)
-		e.toggleItem(v, edges, false)
-	}
 }
 
 // toggleItem adds or removes universe item v (node for v < n, edge

@@ -11,43 +11,34 @@ import (
 )
 
 // MaxDiameterParallel is MaxDiameter with the fault-set search fanned
-// out over worker goroutines. When the Survivor is a RouteSource the
-// search runs on per-worker Engine clones with work stealing over
-// enumeration prefixes (Exhaustive mode) or over pre-drawn sample sets
-// plus per-round greedy candidates (Sampled mode), and the merged
-// result — including the worst-case witness — is bit-for-bit identical
-// to the sequential search, because sub-results are folded back in
-// enumeration order. For plain Survivors only the exhaustive mode is
-// parallelized (with the documented ties-may-differ witness caveat).
+// out over worker goroutines (GOMAXPROCS when workers <= 0). When the
+// Survivor is a RouteSource, Exhaustive mode runs the branch-and-bound
+// executor on per-worker Engine clones that steal first-item
+// enumeration prefixes (or chunks of orbit representatives) and share
+// one incumbent, and Sampled mode spreads pre-drawn sample sets plus
+// per-round greedy candidates over the clones. Sub-results are folded
+// back in enumeration order, so the merged result — including the
+// worst-case witness — is bit-for-bit identical to the sequential
+// search. For plain Survivors only the exhaustive mode is parallelized
+// (with the documented ties-may-differ witness caveat).
 func MaxDiameterParallel(s Survivor, f int, cfg Config, workers int) Result {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
+	if cfg.Mode == Exhaustive {
+		return exhaustiveOn(s, f, cfg.Pruned, workers)
+	}
 	if f < 0 {
 		f = 0
 	}
-	eng := engineFor(s)
-	if cfg.Mode != Exhaustive {
-		if eng == nil || workers == 1 {
-			return MaxDiameter(s, f, cfg)
-		}
-		return eng.sampledParallel(f, cfg, workers)
+	if workers == 1 {
+		return MaxDiameter(s, f, cfg) // before compiling an engine this path would discard
 	}
-	if workers == 1 || f == 0 {
+	eng := engineFor(s)
+	if eng == nil {
 		return MaxDiameter(s, f, cfg)
 	}
-	if cfg.Pruned {
-		if res, ok := exhaustivePruned(s, f, workers, cfg.Bounded); ok {
-			return res
-		}
-	}
-	if eng != nil {
-		if cfg.Bounded {
-			return eng.boundedSearch(nil, f, workers).node()
-		}
-		return eng.exhaustiveParallel(f, workers)
-	}
-	return legacyExhaustiveParallel(s, f, workers)
+	return eng.sampledParallel(f, cfg, workers)
 }
 
 // mergeOrdered folds sub-result r into merged, where r covers a span of
@@ -70,49 +61,6 @@ func mergeOrdered(merged *Result, r Result) {
 		merged.Disconnected = true
 		merged.WorstFaults = r.WorstFaults
 	}
-}
-
-// exhaustiveParallel enumerates all fault sets of size 0..f. Work unit
-// v is the subtree of sets whose smallest element is v; workers steal
-// units from a shared counter, each on its own engine clone, and the
-// per-unit results are merged in enumeration order.
-func (e *Engine) exhaustiveParallel(f, workers int) Result {
-	n := e.n
-	merged := Result{WorstFaults: graph.NewBitset(n)}
-	e.fold(&merged) // empty set
-	if f <= 0 || n == 0 {
-		return merged
-	}
-	if workers > n {
-		workers = n
-	}
-	per := make([]Result, n)
-	var nextUnit atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			c := e.Clone()
-			for {
-				v := int(nextUnit.Add(1)) - 1
-				if v >= n {
-					return
-				}
-				res := Result{WorstFaults: graph.NewBitset(n)}
-				c.AddFault(v)
-				c.fold(&res)
-				c.descend(v+1, f-1, &res)
-				c.RemoveFault(v)
-				per[v] = res
-			}
-		}()
-	}
-	wg.Wait()
-	for _, r := range per {
-		mergeOrdered(&merged, r)
-	}
-	return merged
 }
 
 // sampledParallel evaluates pre-drawn random fault sets on per-worker
@@ -293,41 +241,34 @@ func (e *Engine) greedyParallel(f int, res *Result, workers int) {
 }
 
 // MaxDiameterMixedParallel is MaxDiameterMixed with the search fanned
-// out over worker goroutines on per-worker Engine clones. Exhaustive
-// mode steals work over first-item enumeration prefixes of the n+m
-// universe; Sampled mode evaluates pre-drawn mixed sets in parallel and
-// then runs the greedy mixed adversary with its candidate probes
-// parallelized per round. Results are
-// bit-for-bit identical to the sequential search because sub-results
-// are folded back in enumeration order. Survivors that cannot enumerate
-// their routes fall back to the sequential legacy search.
+// out over worker goroutines on per-worker Engine clones (GOMAXPROCS
+// when workers <= 0). Exhaustive mode runs the branch-and-bound
+// executor, stealing first-item enumeration prefixes of the n+m
+// universe (or chunks of orbit representatives); Sampled mode evaluates
+// pre-drawn mixed sets in parallel and then runs the greedy mixed
+// adversary with its candidate probes parallelized per round. Results
+// are bit-for-bit identical to the sequential search because
+// sub-results are folded back in enumeration order. Survivors that
+// cannot enumerate their routes fall back to the sequential legacy
+// search.
 func MaxDiameterMixedParallel(s MixedSurvivor, f int, cfg Config, workers int) MixedResult {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
+	if cfg.Mode == Exhaustive {
+		return exhaustiveMixedOn(s, f, cfg.Pruned, workers)
+	}
 	if f < 0 {
 		f = 0
 	}
-	if workers == 1 || (cfg.Mode == Exhaustive && f == 0) {
+	if workers == 1 {
 		return MaxDiameterMixed(s, f, cfg) // before compiling an engine this path would discard
 	}
 	eng := engineFor(s)
 	if eng == nil {
 		return MaxDiameterMixed(s, f, cfg)
 	}
-	edges := s.Graph().Edges()
-	if cfg.Mode != Exhaustive {
-		return eng.sampledMixedParallel(s, f, cfg, workers, edges)
-	}
-	if cfg.Pruned {
-		if res, ok := exhaustiveMixedPruned(s, f, workers, cfg.Bounded); ok {
-			return res
-		}
-	}
-	if cfg.Bounded {
-		return eng.boundedSearch(edges, f, workers)
-	}
-	return eng.exhaustiveMixedParallel(f, workers, edges)
+	return eng.sampledMixedParallel(s, f, cfg, workers, s.Graph().Edges())
 }
 
 // mergeOrderedMixed is mergeOrdered over mixed sub-results.
@@ -348,50 +289,6 @@ func mergeOrderedMixed(merged *MixedResult, r MixedResult) {
 		merged.WorstNodeFaults = r.WorstNodeFaults
 		merged.WorstEdgeFaults = r.WorstEdgeFaults
 	}
-}
-
-// exhaustiveMixedParallel enumerates all mixed fault sets of size 0..f.
-// Work unit v is the subtree of sets whose smallest item is v (nodes
-// first, then edges); workers steal units from a shared counter, each
-// on its own engine clone.
-func (e *Engine) exhaustiveMixedParallel(f, workers int, edges [][2]int) MixedResult {
-	n := e.n
-	items := n + len(edges)
-	merged := MixedResult{WorstNodeFaults: graph.NewBitset(n)}
-	e.foldMixed(&merged) // empty set
-	if f <= 0 || items == 0 {
-		return merged
-	}
-	if workers > items {
-		workers = items
-	}
-	per := make([]MixedResult, items)
-	var nextUnit atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			c := e.Clone()
-			for {
-				v := int(nextUnit.Add(1)) - 1
-				if v >= items {
-					return
-				}
-				res := MixedResult{WorstNodeFaults: graph.NewBitset(n)}
-				c.toggleItem(v, edges, true)
-				c.foldMixed(&res)
-				c.descendMixed(v+1, f-1, edges, &res)
-				c.toggleItem(v, edges, false)
-				per[v] = res
-			}
-		}()
-	}
-	wg.Wait()
-	for _, r := range per {
-		mergeOrderedMixed(&merged, r)
-	}
-	return merged
 }
 
 // sampledMixedParallel evaluates pre-drawn random mixed sets on

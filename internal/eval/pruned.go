@@ -22,7 +22,7 @@ import (
 // and materialize the canonical representatives with multiplicities;
 // they return nil whenever pruning cannot help — no route enumeration,
 // a trivial or over-cap group, nothing respecting — and every caller
-// then falls back to the plain enumeration.
+// then falls back to enumerating every set.
 
 // prunedElementCap bounds the group orders pruning will expand: beyond
 // this many elements the respect checks and per-set canonicity tests
@@ -32,7 +32,7 @@ const prunedElementCap = 1 << 14
 // prunedReps is a compiled orbit-pruned enumeration plan: the canonical
 // representative fault sets (sorted item lists in lexicographic
 // preorder) and their orbit sizes. The empty set is not included — the
-// searches always fold it separately, exactly like the plain paths.
+// searches always evaluate it separately, as the unpruned walks do.
 type prunedReps struct {
 	sets  [][]int
 	mults []int
@@ -192,92 +192,6 @@ func applyDiff(cur, next []int, toggle func(v int, add bool)) []int {
 	return next
 }
 
-// exhaustivePruned runs the exhaustive node-fault search over one
-// canonical representative per orbit. ok is false when pruning is
-// unavailable; callers then fall back to the plain enumeration.
-// bounded selects the branch-and-bound representative walk.
-func exhaustivePruned(s Survivor, f, workers int, bounded bool) (Result, bool) {
-	if f < 0 {
-		f = 0
-	}
-	plan := nodeReps(s, f)
-	if plan == nil {
-		return Result{}, false
-	}
-	eng := engineFor(s) // non-nil: nodeReps required RouteSource
-	res := Result{WorstFaults: graph.NewBitset(eng.N())}
-	switch {
-	case bounded:
-		return prunedSearch(plan, nil, workers).exec(eng, make([]*Engine, workers)).node(), true
-	case workers > 1:
-		eng.evalPrunedParallel(plan, workers, &res)
-	default:
-		eng.evalPruned(plan, &res)
-	}
-	return res, true
-}
-
-// exhaustiveMixedPruned is exhaustivePruned over the mixed universe.
-func exhaustiveMixedPruned(s MixedSurvivor, f, workers int, bounded bool) (MixedResult, bool) {
-	if f < 0 {
-		f = 0
-	}
-	plan := mixedReps(s, f)
-	if plan == nil {
-		return MixedResult{}, false
-	}
-	eng := engineFor(s)
-	edges := s.Graph().Edges()
-	res := MixedResult{WorstNodeFaults: graph.NewBitset(eng.N())}
-	switch {
-	case bounded:
-		return prunedSearch(plan, edges, workers).exec(eng, make([]*Engine, workers)), true
-	case workers > 1:
-		eng.evalPrunedMixedParallel(plan, edges, workers, &res)
-	default:
-		eng.evalPrunedMixed(plan, edges, &res)
-	}
-	return res, true
-}
-
-// evalPruned folds the empty set and every representative of plan into
-// res, reconstructing the plain enumeration's Evaluated count from the
-// orbit sizes. The reported worst scores and flags match the plain
-// search exactly; the witness is the canonical member of a worst orbit.
-// The engine must start fault-free and is restored on return.
-func (e *Engine) evalPruned(plan *prunedReps, res *Result) {
-	e.fold(res) // empty set
-	toggle := func(v int, add bool) {
-		if add {
-			e.AddFault(v)
-		} else {
-			e.RemoveFault(v)
-		}
-	}
-	var cur []int
-	for i, set := range plan.sets {
-		cur = applyDiff(cur, set, toggle)
-		e.foldW(res, plan.mults[i])
-	}
-	for _, v := range cur {
-		e.RemoveFault(v)
-	}
-}
-
-// evalPrunedMixed is evalPruned over the mixed item universe.
-func (e *Engine) evalPrunedMixed(plan *prunedReps, edges [][2]int, res *MixedResult) {
-	e.foldMixed(res) // empty set
-	toggle := func(v int, add bool) { e.toggleItem(v, edges, add) }
-	var cur []int
-	for i, set := range plan.sets {
-		cur = applyDiff(cur, set, toggle)
-		e.foldMixedW(res, plan.mults[i])
-	}
-	for _, v := range cur {
-		e.toggleItem(v, edges, false)
-	}
-}
-
 // planChunk computes the contiguous chunk length for fanning reps out
 // over workers, the granularity the parallel pruned walks steal at.
 func planChunk(reps, workers int) int {
@@ -286,119 +200,6 @@ func planChunk(reps, workers int) int {
 		chunk = 1
 	}
 	return chunk
-}
-
-// evalPrunedParallel is evalPruned with the representative list split
-// into contiguous chunks stolen by per-worker clones; each chunk is
-// replayed from the empty set with applyDiff and sub-results merge in
-// plan order, so the outcome matches the serial pruned walk exactly.
-func (e *Engine) evalPrunedParallel(plan *prunedReps, workers int, res *Result) {
-	e.fold(res) // empty set
-	reps := len(plan.sets)
-	if reps == 0 {
-		return
-	}
-	if workers > reps {
-		workers = reps
-	}
-	chunk := planChunk(reps, workers)
-	nchunks := (reps + chunk - 1) / chunk
-	per := make([]Result, nchunks)
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var c *Engine
-			for {
-				ci := int(next.Add(1)) - 1
-				if ci >= nchunks {
-					return
-				}
-				if c == nil {
-					c = e.Clone()
-				}
-				lo, hi := ci*chunk, (ci+1)*chunk
-				if hi > reps {
-					hi = reps
-				}
-				toggle := func(v int, add bool) {
-					if add {
-						c.AddFault(v)
-					} else {
-						c.RemoveFault(v)
-					}
-				}
-				sub := Result{WorstFaults: graph.NewBitset(e.n)}
-				var cur []int
-				for i := lo; i < hi; i++ {
-					cur = applyDiff(cur, plan.sets[i], toggle)
-					c.foldW(&sub, plan.mults[i])
-				}
-				for _, v := range cur {
-					c.RemoveFault(v)
-				}
-				per[ci] = sub
-			}
-		}()
-	}
-	wg.Wait()
-	for _, r := range per {
-		mergeOrdered(res, r)
-	}
-}
-
-// evalPrunedMixedParallel is evalPrunedParallel over the mixed universe.
-func (e *Engine) evalPrunedMixedParallel(plan *prunedReps, edges [][2]int, workers int, res *MixedResult) {
-	e.foldMixed(res) // empty set
-	reps := len(plan.sets)
-	if reps == 0 {
-		return
-	}
-	if workers > reps {
-		workers = reps
-	}
-	chunk := planChunk(reps, workers)
-	nchunks := (reps + chunk - 1) / chunk
-	per := make([]MixedResult, nchunks)
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var c *Engine
-			for {
-				ci := int(next.Add(1)) - 1
-				if ci >= nchunks {
-					return
-				}
-				if c == nil {
-					c = e.Clone()
-				}
-				lo, hi := ci*chunk, (ci+1)*chunk
-				if hi > reps {
-					hi = reps
-				}
-				toggle := func(v int, add bool) { c.toggleItem(v, edges, add) }
-				sub := MixedResult{WorstNodeFaults: graph.NewBitset(e.n)}
-				var cur []int
-				for i := lo; i < hi; i++ {
-					cur = applyDiff(cur, plan.sets[i], toggle)
-					c.foldMixedW(&sub, plan.mults[i])
-				}
-				for _, v := range cur {
-					c.toggleItem(v, edges, false)
-				}
-				per[ci] = sub
-			}
-		}()
-	}
-	wg.Wait()
-	for _, r := range per {
-		mergeOrderedMixed(res, r)
-	}
 }
 
 // considerEngineW folds the engine's current cut set into the running

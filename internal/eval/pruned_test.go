@@ -13,7 +13,7 @@ import (
 // transported builds a graph by name together with a shortest-path
 // routing transported to be strictly equivariant under a pair-free
 // automorphism subgroup — the kind of routing Config.Pruned engages on.
-func transported(t *testing.T, name string) (*graph.Graph, *routing.Routing) {
+func transported(t testing.TB, name string) (*graph.Graph, *routing.Routing) {
 	t.Helper()
 	var g *graph.Graph
 	var err error
