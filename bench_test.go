@@ -584,6 +584,39 @@ func BenchmarkWorstLinkCutsSampledCCC4F2(b *testing.B) {
 	}
 }
 
+// BenchmarkWorstMixedFaultsSampledCCC4F2 is the sampled+concentrator+
+// greedy mixed adversary at budget 2 — the failover-ccc5 benchmark
+// workload's search at CCC(4) scale: 20 drawn sets and two greedy
+// rounds (160 + 159 candidates), each scored by a read-only WalkEngine
+// probe, plus the 10 concentrator sets. CI gates its ns/op ratio
+// against the legacy twin below.
+func BenchmarkWorstMixedFaultsSampledCCC4F2(b *testing.B) {
+	t := ccc4Failover(b)
+	g := ccc4Circular(b).Graph()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res := WorstMixedFaults(t, g, 2, eval.Config{Mode: eval.Sampled, Samples: 20, Greedy: true, Seed: 1})
+		if res.Evaluated != 350 {
+			b.Fatalf("evaluated %d", res.Evaluated)
+		}
+	}
+}
+
+// BenchmarkWorstMixedFaultsSampledLegacyCCC4F2 is the same sampled
+// search through the legacy path that re-walks all 4032 pairs per
+// probed set.
+func BenchmarkWorstMixedFaultsSampledLegacyCCC4F2(b *testing.B) {
+	t := ccc4Failover(b)
+	g := ccc4Circular(b).Graph()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res := WorstMixedFaultsLegacy(t, g, 2, eval.Config{Mode: eval.Sampled, Samples: 20, Greedy: true, Seed: 1})
+		if res.Evaluated != 350 {
+			b.Fatalf("evaluated %d", res.Evaluated)
+		}
+	}
+}
+
 // --- Orbit-pruned exhaustive search benchmarks (internal/sym) ---
 //
 // The transported anchor: CCC(4) shortest-path routing made strictly

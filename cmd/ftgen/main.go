@@ -10,6 +10,7 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -44,31 +45,34 @@ func run(args []string, stdout *os.File) error {
 	if err != nil {
 		return err
 	}
-	w := stdout
-	if *out != "" {
-		f, err := os.Create(*out)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		w = f
-	}
+	// Render before touching -o, so a bad -format never truncates an
+	// existing file.
+	var data []byte
 	switch *format {
 	case "edgelist":
-		return g.WriteEdgeList(w)
+		var b bytes.Buffer
+		if err := g.WriteEdgeList(&b); err != nil {
+			return err
+		}
+		data = b.Bytes()
 	case "json":
-		data, err := json.Marshal(g)
+		js, err := json.Marshal(g)
 		if err != nil {
 			return err
 		}
-		_, err = fmt.Fprintln(w, string(data))
-		return err
+		data = append(js, '\n')
 	case "dot":
-		_, err := fmt.Fprint(w, g.DOT("G"))
-		return err
+		data = []byte(g.DOT("G"))
 	default:
 		return fmt.Errorf("ftgen: unknown format %q", *format)
 	}
+	if *out == "" {
+		_, err := stdout.Write(data)
+		return err
+	}
+	// os.WriteFile reports the Close error too, so a delayed write
+	// failure does not pass for success.
+	return os.WriteFile(*out, data, 0o666)
 }
 
 // parseGraph mirrors cmd/ftroute's generator specs (kept local: main

@@ -1,6 +1,8 @@
 package main
 
 import (
+	"bytes"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
@@ -61,5 +63,57 @@ func TestGenerateSpecs(t *testing.T) {
 		if g.N() == 0 {
 			t.Fatalf("%s: empty graph", spec)
 		}
+	}
+}
+
+// TestGenerateBadFormatKeepsFile checks a bad -format fails before -o
+// is created, so an existing output file survives untouched.
+func TestGenerateBadFormatKeepsFile(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "g.txt")
+	if err := os.WriteFile(path, []byte("keep me\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := run([]string{"-graph", "ccc:3", "-format", "bogus", "-o", path}, os.Stdout); err == nil {
+		t.Fatal("unknown format should fail")
+	}
+	if data, err := os.ReadFile(path); err != nil || string(data) != "keep me\n" {
+		t.Fatalf("existing file now %q (%v), want it untouched", data, err)
+	}
+}
+
+// TestGenerateWritesSameBytes checks -o writes exactly the bytes of the
+// rendered graph in every format, and that a failed write is reported.
+func TestGenerateWritesSameBytes(t *testing.T) {
+	g, err := parseGraph("ccc:3")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var edgeList bytes.Buffer
+	if err := g.WriteEdgeList(&edgeList); err != nil {
+		t.Fatal(err)
+	}
+	js, err := json.Marshal(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	for format, want := range map[string]string{
+		"edgelist": edgeList.String(),
+		"json":     string(js) + "\n",
+		"dot":      g.DOT("G"),
+	} {
+		path := filepath.Join(dir, "g."+format)
+		if err := run([]string{"-graph", "ccc:3", "-format", format, "-o", path}, os.Stdout); err != nil {
+			t.Fatal(err)
+		}
+		if got, err := os.ReadFile(path); err != nil || string(got) != want {
+			t.Fatalf("%s: wrote %q (%v), want %q", format, got, err, want)
+		}
+	}
+	if _, err := os.Stat("/dev/full"); err != nil {
+		t.Skip("no /dev/full to provoke a write failure")
+	}
+	if err := run([]string{"-graph", "ccc:3", "-o", "/dev/full"}, os.Stdout); err == nil {
+		t.Fatal("writing to a full device reported success")
 	}
 }

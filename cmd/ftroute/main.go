@@ -281,21 +281,23 @@ func export(g *ftroute.Graph, construction, table string) error {
 	if !ok {
 		return fmt.Errorf("ftroute: export supports single routings, not multiroutings")
 	}
-	w := os.Stdout
-	if table != "" {
-		f, err := os.Create(table)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		w = f
-	}
-	if _, err := rt.WriteTo(w); err != nil {
+	if table == "" {
+		_, err := rt.WriteTo(os.Stdout)
 		return err
 	}
-	if table != "" {
-		fmt.Printf("wrote %d routes to %s\n", rt.Len(), table)
+	f, err := os.Create(table)
+	if err != nil {
+		return err
 	}
+	if _, err := rt.WriteTo(f); err != nil {
+		f.Close()
+		return err
+	}
+	// A delayed write failure surfaces only at Close.
+	if err := f.Close(); err != nil {
+		return err
+	}
+	fmt.Printf("wrote %d routes to %s\n", rt.Len(), table)
 	return nil
 }
 

@@ -1,11 +1,14 @@
 package main
 
 import (
+	"bytes"
 	"io"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"ftroute"
 )
 
 func TestParseGraphSpecs(t *testing.T) {
@@ -232,5 +235,40 @@ worst-case surviving diameter by exact mixed fault-set size:
 	})
 	if out != want {
 		t.Fatalf("output changed:\n%s\nwant:\n%s", out, want)
+	}
+}
+
+// TestExportTableBytes checks export -table writes exactly the routing
+// table's encoding, and reports a failed write instead of claiming
+// success.
+func TestExportTableBytes(t *testing.T) {
+	g, err := parseGraph("cycle:9")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want bytes.Buffer
+	captureStdout(t, func() error {
+		r, _, err := build(g, "circular")
+		if err != nil {
+			return err
+		}
+		_, err = r.(*ftroute.Routing).WriteTo(&want)
+		return err
+	})
+	args := []string{"export", "-graph", "cycle:9", "-construction", "circular"}
+	table := filepath.Join(t.TempDir(), "routing.json")
+	captureStdout(t, func() error { return run(append(args, "-table", table)) })
+	got, err := os.ReadFile(table)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want.Bytes()) || len(got) == 0 {
+		t.Fatalf("-table wrote %q, want %q", got, want.Bytes())
+	}
+	if _, err := os.Stat("/dev/full"); err != nil {
+		t.Skip("no /dev/full to provoke a write failure")
+	}
+	if err := run(append(args, "-table", "/dev/full")); err == nil {
+		t.Fatal("export to a full device reported success")
 	}
 }

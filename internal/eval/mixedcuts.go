@@ -16,12 +16,15 @@ import (
 // fault model: up to budget failed *nodes or links* — the mixed-universe
 // counterpart of WorstLinkCuts, sharing its objective (disrupt the most
 // pairs) and its search modes. All searches enumerate the n+m item
-// universe of MaxDiameterMixed (nodes first, then g.Edges() in order),
-// one WalkEngine toggle per step. A failed node removes its own pairs
+// universe of MaxDiameterMixed (nodes first, then g.Edges() in order).
+// A failed node removes its own pairs
 // from play rather than disrupting them: those pairs count as Skipped
 // and earn the adversary nothing, so the searches reward fault sets
 // that strand *other* pairs' packets — the concentrator phenomenon of
 // the paper, where killing one switch severs routes passing through it.
+// The exhaustive and concentrator enumerations toggle one item per
+// step; the sampled and greedy phases score candidates with read-only
+// WalkEngine probes instead.
 
 // MixedCutResult reports the worst mixed fault set found against a
 // table set.
@@ -104,10 +107,12 @@ func WorstMixedFaults(t *routing.FailoverTables, g *graph.Graph, budget int, cfg
 }
 
 // WorstMixedFaultsParallel is WorstMixedFaults fanned out over worker
-// goroutines on per-worker engine clones (workers <= 0 means
-// GOMAXPROCS), with the work-stealing and ordered-merge structure of
-// WorstLinkCutsParallel — the result is bit-for-bit identical to the
-// sequential search.
+// goroutines (workers <= 0 means GOMAXPROCS), with the structure of
+// WorstLinkCutsParallel: exhaustive mode steals first-item subtrees on
+// per-worker engine clones, sampled mode probes the drawn sets and each
+// greedy round's candidates concurrently on the one shared engine.
+// Verdicts merge in enumeration order, so the result is bit-for-bit
+// identical to the sequential search.
 func WorstMixedFaultsParallel(t *routing.FailoverTables, g *graph.Graph, budget int, cfg Config, workers int) MixedCutResult {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -168,7 +173,7 @@ func worstMixedFaults(we *WalkEngine, budget int, cfg Config, workers int) Mixed
 		res.worse = nil
 		return res
 	}
-	we.sampledMixedCuts(budget, cfg, workers, &res)
+	we.sampledMixedCuts(0, budget, cfg, workers, &res)
 	res.worse = nil
 	return res
 }
@@ -253,15 +258,19 @@ func (we *WalkEngine) exhaustiveMixedCutsParallel(budget, workers int, res *Mixe
 	}
 }
 
-// sampledMixedCuts mirrors sampledSearch on the mixed universe:
-// cfg.Samples random mixed sets of size exactly budget (drawn from
-// cfg.Seed in sequential order), the concentrator probe, then with
-// cfg.Greedy the greedy adversary, sharing one lazily built clone pool
-// between the sampling and greedy phases.
-func (we *WalkEngine) sampledMixedCuts(budget int, cfg Config, workers int, res *MixedCutResult) {
-	items := we.n + we.m
-	// Termination bound, same class as sampledSearch's: a budget past
-	// the universe size would spin the draw loop forever.
+// sampledMixedCuts runs the sampled adversary over the items lo..n+m-1
+// of the mixed universe — lo = 0 is the mixed search, lo = n the
+// link-only one: cfg.Samples random sets of size exactly budget (drawn
+// from cfg.Seed in sequential order), the concentrator probe, then with
+// cfg.Greedy the greedy adversary. Each drawn set is scored by a
+// read-only probe of the fault-free engine, so the samples fan out over
+// workers sharing the one engine; verdicts fold in draw order, which
+// keeps the sequential first-strictly-worse witness at any worker
+// count.
+func (we *WalkEngine) sampledMixedCuts(lo, budget int, cfg Config, workers int, res *MixedCutResult) {
+	items := we.n + we.m - lo
+	// Termination bound: a budget past the range size would spin the
+	// draw loop below forever.
 	if budget > items {
 		budget = items
 	}
@@ -270,80 +279,97 @@ func (we *WalkEngine) sampledMixedCuts(budget int, cfg Config, workers int, res 
 		samples = 200
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	clones := make([]*WalkEngine, workers)
-	if budget > 0 && items > 0 {
-		sets := make([]*graph.Bitset, samples)
+	if budget > 0 {
+		sets := make([][]int, samples)
 		for i := range sets {
 			ids := graph.NewBitset(items)
 			for ids.Count() < budget {
 				ids.Add(rng.Intn(items))
 			}
-			sets[i] = ids
+			set := ids.Elements()
+			for j := range set {
+				set[j] += lo
+			}
+			sets[i] = set
 		}
-		if workers > 1 {
-			per := make([]MixedCutResult, samples)
-			var nextSample atomic.Int64
-			var wg sync.WaitGroup
-			sampleWorkers := workers
-			if sampleWorkers > samples {
-				sampleWorkers = samples
+		verdicts := we.probeAll(samples, workers, func(pr *prober, i int) CutStats { return pr.probe(sets[i]...) })
+		for i, s := range verdicts {
+			res.Evaluated++
+			if isWorse(res.worse, s, res.Stats) {
+				res.Stats = s
+				res.WorstNodes, res.WorstCuts = we.itemWitness(sets[i])
 			}
-			for w := 0; w < sampleWorkers; w++ {
-				wg.Add(1)
-				go func(w int) {
-					defer wg.Done()
-					var c *WalkEngine
-					for {
-						i := int(nextSample.Add(1)) - 1
-						if i >= samples {
-							break
-						}
-						if c == nil {
-							if clones[w] == nil {
-								clones[w] = we.Clone()
-							}
-							c = clones[w]
-						}
-						c.setMixedItemIDs(sets[i])
-						sub := MixedCutResult{worse: res.worse}
-						sub.considerEngine(c)
-						per[i] = sub
-					}
-					if c != nil {
-						c.Reset() // hand the pool to the greedy phase fault-free
-					}
-				}(w)
-			}
-			wg.Wait()
-			for _, r := range per {
-				mergeOrderedMixedCuts(res, r)
-			}
-		} else {
-			for _, ids := range sets {
-				we.setMixedItemIDs(ids)
-				res.considerEngine(we)
-			}
-			we.Reset()
 		}
 	}
-	we.concentratorMixedCuts(budget, res)
+	we.concentratorMixedCuts(lo, budget, res)
 	if cfg.Greedy {
-		we.greedyMixedCuts(budget, workers, clones, res)
+		we.greedyMixedCuts(lo, budget, workers, res)
 	}
 }
 
+// itemWitness splits a sorted item list into the canonical witness
+// form considerEngine records: sorted nodes and sorted cut links, both
+// non-nil.
+func (we *WalkEngine) itemWitness(set []int) ([]int, []routing.EdgeFault) {
+	nodes, cuts := []int{}, []routing.EdgeFault{}
+	for _, v := range set {
+		if v < we.n {
+			nodes = append(nodes, v)
+		} else {
+			cuts = append(cuts, we.edgeFaultOf(v-we.n))
+		}
+	}
+	return nodes, cuts
+}
+
+// probeAll returns probe(pr, i) for every i in 0..k-1, spread over up
+// to workers goroutines that each own a prober of the shared engine.
+// The engine must not be toggled until probeAll returns.
+func (we *WalkEngine) probeAll(k, workers int, probe func(pr *prober, i int) CutStats) []CutStats {
+	out := make([]CutStats, k)
+	if workers > k {
+		workers = k
+	}
+	if workers <= 1 {
+		pr := we.newProber()
+		for i := range out {
+			out[i] = probe(pr, i)
+		}
+		return out
+	}
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			pr := we.newProber()
+			for i := int(next.Add(1)) - 1; i < k; i = int(next.Add(1)) - 1 {
+				out[i] = probe(pr, i)
+			}
+		}()
+	}
+	wg.Wait()
+	return out
+}
+
 // concentratorMixedCuts enumerates every fault subset of size 1..budget
-// of the mixed concentrator targets: the node holding the most table
-// entries (ties to the lowest id) followed by its incident links in
-// neighbor order. Killing the concentrator itself is the paper's node
-// attack; cutting its wires is the link attack — the probe covers every
-// combination of the two within budget.
-func (we *WalkEngine) concentratorMixedCuts(budget int, res *MixedCutResult) {
+// of the concentrator targets within the items lo..n+m-1: the node
+// holding the most table entries (ties to the lowest id) followed by its
+// incident links in neighbor order. Killing the concentrator itself is
+// the paper's node attack; cutting its wires is the link attack — the
+// mixed probe covers every combination of the two within budget, the
+// link-only one (lo = n) the wires alone. At most a handful of targets,
+// so it toggles rather than probes.
+func (we *WalkEngine) concentratorMixedCuts(lo, budget int, res *MixedCutResult) {
 	conc := we.tables.Concentrator()
 	if conc < 0 {
 		return
 	}
-	targets := []int{conc}
+	var targets []int
+	if conc >= lo {
+		targets = append(targets, conc)
+	}
 	we.g.EachNeighbor(conc, func(w int) bool {
 		if id, ok := we.edgeID[edgeKeyNorm(conc, w)]; ok {
 			targets = append(targets, we.n+int(id))
@@ -365,81 +391,39 @@ func (we *WalkEngine) concentratorMixedCuts(budget int, res *MixedCutResult) {
 	rec(0, budget)
 }
 
-// greedyMixedCuts grows a mixed fault set one item at a time, each
-// round keeping the item whose addition disrupts the most pairs (ties
-// to the lowest item), candidate probes optionally spread over the
-// caller's clone pool exactly as greedySearch does. The engine ends
-// restored to fault-free.
-func (we *WalkEngine) greedyMixedCuts(budget, workers int, clones []*WalkEngine, res *MixedCutResult) {
-	items := we.n + we.m
+// greedyMixedCuts grows a fault set over the items lo..n+m-1 one item
+// at a time, each round keeping the item whose addition disrupts the
+// most pairs (ties to the lowest item). Every unchosen item is scored
+// by a read-only probe against the engine holding the chosen prefix —
+// the probes of a round spread over workers sharing the engine — and
+// only the round's winner is toggled in. Verdicts reduce in item order
+// with the sequential tie-breaking. The engine ends restored to
+// fault-free.
+func (we *WalkEngine) greedyMixedCuts(lo, budget, workers int, res *MixedCutResult) {
+	items := we.n + we.m - lo
 	chosen := graph.NewBitset(items)
-	verdicts := make([]CutStats, items)
-	measured := make([]bool, items)
 	for round := 0; round < budget; round++ {
-		for i := range measured {
-			measured[i] = false
-		}
-		if workers > 1 {
-			var nextCand atomic.Int64
-			var wg sync.WaitGroup
-			for w := 0; w < workers; w++ {
-				wg.Add(1)
-				go func(w int) {
-					defer wg.Done()
-					var c *WalkEngine // fetched only if this worker gets a candidate
-					for {
-						i := int(nextCand.Add(1)) - 1
-						if i >= items {
-							return
-						}
-						if chosen.Has(i) {
-							continue
-						}
-						if c == nil {
-							if clones[w] == nil {
-								clones[w] = we.Clone()
-							}
-							c = clones[w]
-						}
-						c.toggleMixedItem(i, true)
-						verdicts[i] = c.Stats()
-						measured[i] = true
-						c.toggleMixedItem(i, false)
-					}
-				}(w)
+		verdicts := we.probeAll(items, workers, func(pr *prober, i int) CutStats {
+			if chosen.Has(i) {
+				return CutStats{}
 			}
-			wg.Wait()
-		} else {
-			for i := 0; i < items; i++ {
-				if chosen.Has(i) {
-					continue
-				}
-				we.toggleMixedItem(i, true)
-				verdicts[i] = we.Stats()
-				measured[i] = true
-				we.toggleMixedItem(i, false)
-			}
-		}
+			return pr.probe(lo + i)
+		})
 		bestI, bestStats := -1, CutStats{}
-		for i := 0; i < items; i++ {
-			if chosen.Has(i) || !measured[i] {
+		for i, s := range verdicts {
+			if chosen.Has(i) {
 				continue
 			}
 			res.Evaluated++
-			if bestI == -1 || isWorse(res.worse, verdicts[i], bestStats) {
-				bestI, bestStats = i, verdicts[i]
+			if bestI == -1 || isWorse(res.worse, s, bestStats) {
+				bestI, bestStats = i, s
 			}
 		}
 		if bestI == -1 {
 			break
 		}
 		chosen.Add(bestI)
-		we.toggleMixedItem(bestI, true)
-		for _, c := range clones {
-			if c != nil {
-				c.toggleMixedItem(bestI, true)
-			}
-		}
+		we.toggleMixedItem(lo+bestI, true)
 		if isWorse(res.worse, bestStats, res.Stats) {
 			res.Stats = bestStats
 			res.WorstNodes = we.NodeFaultList()

@@ -157,14 +157,20 @@ func TestWorstMixedFaultsMatchesLegacy(t *testing.T) {
 }
 
 // TestWorstMixedFaultsParallelWorkerCounts checks the ordered merge is
-// worker-count independent, including workers > units.
+// worker-count independent, including workers > units, for the
+// exhaustive search on per-worker clones and for the sampled+greedy
+// search whose workers probe one shared engine.
 func TestWorstMixedFaultsParallelWorkerCounts(t *testing.T) {
 	it := walkEngineInstances(t)[1] // Q3 reinforced
-	cfg := Config{Mode: Exhaustive}
-	want := WorstMixedFaults(it.ft, it.g, 2, cfg)
-	for _, workers := range []int{1, 2, 3, 64} {
-		if got := WorstMixedFaultsParallel(it.ft, it.g, 2, cfg, workers); !reflect.DeepEqual(got, want) {
-			t.Fatalf("workers=%d: %v, want %v", workers, got, want)
+	for _, cfg := range []Config{
+		{Mode: Exhaustive},
+		{Mode: Sampled, Samples: 10, Greedy: true, Seed: 5},
+	} {
+		want := WorstMixedFaults(it.ft, it.g, 2, cfg)
+		for _, workers := range []int{1, 2, 3, 64} {
+			if got := WorstMixedFaultsParallel(it.ft, it.g, 2, cfg, workers); !reflect.DeepEqual(got, want) {
+				t.Fatalf("cfg %+v workers=%d: %v, want %v", cfg, workers, got, want)
+			}
 		}
 	}
 }
@@ -173,9 +179,8 @@ func TestWorstMixedFaultsParallelWorkerCounts(t *testing.T) {
 // sampled draw-loop bound: a budget past the link count must terminate
 // (the draw loop can never collect more distinct links than exist) and
 // return exactly the result of the clamped budget, in every mode,
-// serial and parallel. Before the clamp was enforced inside
-// sampledSearch, an unclamped call would spin forever at
-// ids.Count() < budget.
+// serial and parallel. Without the clamp inside sampledMixedCuts, an
+// unclamped call would spin forever at ids.Count() < budget.
 func TestWorstLinkCutsBudgetOverLinks(t *testing.T) {
 	for _, it := range walkEngineInstances(t) {
 		m := len(it.g.Edges())

@@ -36,9 +36,14 @@ import (
 //
 // Each toggle therefore re-walks only the affected pairs, maintaining
 // CutStats incrementally, while the legacy path re-walks all P pairs
-// per probed fault set. Clone() shares the compiled arrays and copies
-// only the mutable walk cache, which is what the parallel adversary's
-// per-worker clones use.
+// per probed fault set. The same argument makes a read-only probe exact
+// (see prober): adding items to the fault set changes only the walks in
+// the union of the items' add rows, so the stats of "current set plus
+// these items" follow from re-walking that union against a private
+// fault view and adjusting a copy of the running stats — no cache row is
+// written, so any number of goroutines may probe one engine at once.
+// Clone() shares the compiled arrays and copies only the mutable walk
+// cache, which is what the exhaustive parallel enumerations use.
 type WalkEngine struct {
 	g         *graph.Graph // cuttable links + neighbor order (read-only)
 	n         int          // nodes
@@ -72,17 +77,32 @@ type WalkEngine struct {
 	blockNodeRows []uint64  // node -> bitset over pairs with the node in blockedN
 	stats         CutStats
 
-	// Walk scratch, per clone.
-	stamp   []int64 // node -> epoch of last visit (loop detection)
-	epoch   int64
-	scratch []uint64 // snapshot of one link row during a toggle
+	ws walkScratch // toggle-path walk scratch, viewing cut and nodeFault; per clone
+}
+
+// walkScratch is the per-goroutine state of one walk: the fault view it
+// reads, loop-detection stamps, and a pair-row buffer. The engine's own
+// scratch views its live fault sets; a prober's views a private copy of
+// them with the probed items added.
+type walkScratch struct {
+	cut, down *graph.Bitset // fault view: cut edge ids, failed nodes
+	stamp     []int64       // node -> epoch of last visit (loop detection)
+	epoch     int64
+	row       []uint64 // union of the item rows to re-walk
+}
+
+// newWalkScratch returns walk scratch for an engine with n nodes and
+// pairWords-word pair rows, viewing the given fault sets.
+func newWalkScratch(cut, down *graph.Bitset, n, pairWords int) walkScratch {
+	return walkScratch{cut: cut, down: down, stamp: make([]int64, n), row: make([]uint64, pairWords)}
 }
 
 // NewWalkEngine compiles tables t (built for graph g) and walks every
 // pair once under the empty cut set. The engine walks the tables' flat
 // arrays in place, adding only the edge id of every ranked hop; the
-// tables and graph are only read. The engine itself is not safe for
-// concurrent use — use Clone for parallel searches.
+// tables and graph are only read. Toggles mutate the engine and must
+// not run concurrently with anything else on it; probes (newProber)
+// only read it and may run concurrently with each other.
 func NewWalkEngine(t *routing.FailoverTables, g *graph.Graph) *WalkEngine {
 	edges := g.Edges()
 	we := &WalkEngine{
@@ -129,14 +149,13 @@ func NewWalkEngine(t *routing.FailoverTables, g *graph.Graph) *WalkEngine {
 	we.blockRows = make([]uint64, we.m*we.pairWords)
 	we.visitRows = make([]uint64, we.n*we.pairWords)
 	we.blockNodeRows = make([]uint64, we.n*we.pairWords)
-	we.stamp = make([]int64, we.n)
-	we.scratch = make([]uint64, we.pairWords)
+	we.ws = newWalkScratch(we.cut, we.nodeFault, we.n, we.pairWords)
 	we.stats.Pairs = P
 	for p := 0; p < P; p++ {
-		out := we.walk(int32(p))
+		out := we.walk(int32(p), &we.ws, true)
 		we.outcome[p] = out
 		we.indexPair(int32(p), true)
-		we.bumpStats(out, 1)
+		we.stats.bump(out, 1)
 	}
 	return we
 }
@@ -166,9 +185,7 @@ func (we *WalkEngine) Clone() *WalkEngine {
 	c.blockRows = append([]uint64(nil), we.blockRows...)
 	c.visitRows = append([]uint64(nil), we.visitRows...)
 	c.blockNodeRows = append([]uint64(nil), we.blockNodeRows...)
-	c.stamp = make([]int64, we.n)
-	c.epoch = 0
-	c.scratch = make([]uint64, we.pairWords)
+	c.ws = newWalkScratch(c.cut, c.nodeFault, we.n, we.pairWords)
 	return &c
 }
 
@@ -359,11 +376,9 @@ func (we *WalkEngine) rewalkRow(row []uint64) { we.rewalkRows(row, nil) }
 // (the second may be nil), snapshotting first because each re-walk
 // mutates the live rows.
 func (we *WalkEngine) rewalkRows(row, extra []uint64) {
-	copy(we.scratch, row)
-	for i, word := range extra {
-		we.scratch[i] |= word
-	}
-	for wi, word := range we.scratch {
+	copy(we.ws.row, row)
+	orRow(we.ws.row, extra)
+	for wi, word := range we.ws.row {
 		base := wi << 6
 		for word != 0 {
 			p := base | bits.TrailingZeros64(word)
@@ -382,11 +397,6 @@ func (we *WalkEngine) SetCuts(cuts []routing.EdgeFault) {
 			want.Add(int(id))
 		}
 	}
-	we.setCutIDs(want)
-}
-
-// setCutIDs is SetCuts over an edge-id bitset.
-func (we *WalkEngine) setCutIDs(want *graph.Bitset) {
 	for _, id := range we.cut.Elements() {
 		if !want.Has(id) {
 			we.removeCut(id)
@@ -419,24 +429,6 @@ func (we *WalkEngine) SetMixedFaults(nodes []int, cuts []routing.EdgeFault) {
 	we.SetCuts(cuts)
 }
 
-// setMixedItemIDs is SetMixedFaults over a bitset of the n+m item
-// universe: item v < n is node v, item v >= n is edge v-n.
-func (we *WalkEngine) setMixedItemIDs(want *graph.Bitset) {
-	for _, v := range we.nodeFault.Elements() {
-		if !want.Has(v) {
-			we.removeNodeFault(v)
-		}
-	}
-	for _, id := range we.cut.Elements() {
-		if !want.Has(we.n + id) {
-			we.removeCut(id)
-		}
-	}
-	for _, v := range want.Elements() {
-		we.toggleMixedItem(v, true)
-	}
-}
-
 // toggleMixedItem adds or removes universe item v (node for v < n, edge
 // v-n otherwise) — the packet-level analogue of Engine.toggleItem.
 func (we *WalkEngine) toggleMixedItem(v int, add bool) {
@@ -462,31 +454,38 @@ func (we *WalkEngine) Reset() {
 	}
 }
 
+// orRow ors src into dst word by word (src may be nil).
+func orRow(dst, src []uint64) {
+	for i, word := range src {
+		dst[i] |= word
+	}
+}
+
 // rewalk re-walks pair p, refreshing its cache rows and the running
 // stats.
 func (we *WalkEngine) rewalk(p int32) {
 	we.indexPair(p, false)
 	old := we.outcome[p]
-	out := we.walk(p)
+	out := we.walk(p, &we.ws, true)
 	we.indexPair(p, true)
 	if out != old {
-		we.bumpStats(old, -1)
-		we.bumpStats(out, 1)
+		we.stats.bump(old, -1)
+		we.stats.bump(out, 1)
 		we.outcome[p] = out
 	}
 }
 
-// bumpStats adjusts the outcome counter for o by d (Pairs is fixed).
-func (we *WalkEngine) bumpStats(o routing.Outcome, d int) {
+// bump adjusts the outcome counter for o by d (Pairs is fixed).
+func (s *CutStats) bump(o routing.Outcome, d int) {
 	switch o {
 	case routing.Delivered:
-		we.stats.Delivered += d
+		s.Delivered += d
 	case routing.Blackhole:
-		we.stats.Blackhole += d
+		s.Blackhole += d
 	case routing.Skipped:
-		we.stats.Skipped += d
+		s.Skipped += d
 	default:
-		we.stats.Loop += d
+		s.Loop += d
 	}
 }
 
@@ -525,71 +524,139 @@ func (we *WalkEngine) indexPair(p int32, on bool) {
 	}
 }
 
-// walk replays pair p's forwarding walk under the current mixed fault
-// set, rebuilding its traversed, visited and blocked item lists, and
+// walk replays pair p's forwarding walk under the fault view of ws and
 // returns the outcome. Semantics mirror FailoverTables.WalkUnderFaults
 // — an entry is dead iff its link is cut or its target node is failed,
 // the first live ranked entry is taken, Delivered on reaching dst,
 // Blackhole when no live entry exists, Loop on a node revisit
 // (epoch-stamped, allocation-free) — except that a failed src or dst
-// yields Skipped: there is no packet to walk. An entry dead for both
-// reasons records both, so repairing either one alone re-walks the
-// pair (a no-op walk, but never a missed invalidation).
-func (we *WalkEngine) walk(p int32) routing.Outcome {
-	we.trav[p] = we.trav[p][:0]
-	we.blocked[p] = we.blocked[p][:0]
-	we.visited[p] = we.visited[p][:0]
-	we.blockedN[p] = we.blockedN[p][:0]
-	we.fails[p] = 0
+// yields Skipped: there is no packet to walk. With rec the walk also
+// rebuilds p's cached traversed, visited and blocked item lists (the
+// toggle path); without it the walk writes nothing of the engine's, the
+// read-only form probes use. An entry dead for both reasons records
+// both, so repairing either one alone re-walks the pair (a no-op walk,
+// but never a missed invalidation).
+func (we *WalkEngine) walk(p int32, ws *walkScratch, rec bool) routing.Outcome {
+	if rec {
+		we.trav[p] = we.trav[p][:0]
+		we.blocked[p] = we.blocked[p][:0]
+		we.visited[p] = we.visited[p][:0]
+		we.blockedN[p] = we.blockedN[p][:0]
+		we.fails[p] = 0
+	}
 	src, dst := we.pairs[p][0], we.pairs[p][1]
-	if we.nodeFault.Has(int(src)) || we.nodeFault.Has(int(dst)) {
+	if ws.down.Has(int(src)) || ws.down.Has(int(dst)) {
 		return routing.Skipped
 	}
 	if src == dst {
 		return routing.Delivered
 	}
-	we.epoch++
-	we.stamp[src] = we.epoch
+	ws.epoch++
+	ws.stamp[src] = ws.epoch
 	at := src
 	for {
-		took, backup := int32(-1), false
+		took := int32(-1)
 		if e := int32(we.tables.Entry(int(p), int(at))); e >= 0 {
 			for h := we.hopOff[e]; h < we.hopOff[e+1]; h++ {
 				eid, nx := we.hopEdge[h], we.hops[h]
 				dead := false
-				if eid >= 0 && we.cut.Has(int(eid)) {
-					we.blocked[p] = append(we.blocked[p], eid)
+				if eid >= 0 && ws.cut.Has(int(eid)) {
+					if rec {
+						we.blocked[p] = append(we.blocked[p], eid)
+					}
 					dead = true
 				}
-				if we.nodeFault.Has(int(nx)) {
-					we.blockedN[p] = append(we.blockedN[p], nx)
+				if ws.down.Has(int(nx)) {
+					if rec {
+						we.blockedN[p] = append(we.blockedN[p], nx)
+					}
 					dead = true
 				}
 				if dead {
 					continue
 				}
-				took, backup = h, h > we.hopOff[e]
+				if rec && h > we.hopOff[e] {
+					we.fails[p]++
+				}
+				took = h
 				break
 			}
 		}
 		if took < 0 {
 			return routing.Blackhole
 		}
-		if backup {
-			we.fails[p]++
-		}
-		if eid := we.hopEdge[took]; eid >= 0 {
-			we.trav[p] = append(we.trav[p], eid)
-		}
 		nx := we.hops[took]
-		we.visited[p] = append(we.visited[p], nx)
+		if rec {
+			if eid := we.hopEdge[took]; eid >= 0 {
+				we.trav[p] = append(we.trav[p], eid)
+			}
+			we.visited[p] = append(we.visited[p], nx)
+		}
 		if nx == dst {
 			return routing.Delivered
 		}
-		if we.stamp[nx] == we.epoch {
+		if ws.stamp[nx] == ws.epoch {
 			return routing.Loop
 		}
-		we.stamp[nx] = we.epoch
+		ws.stamp[nx] = ws.epoch
 		at = nx
 	}
+}
+
+// prober is one goroutine's scratch for probing a shared WalkEngine:
+// its own fault view, loop stamps and pair-row buffer. Any number of
+// probers may probe one engine concurrently, provided nothing toggles
+// the engine meanwhile.
+type prober struct {
+	we *WalkEngine
+	ws walkScratch
+}
+
+// newProber returns a prober over we.
+func (we *WalkEngine) newProber() *prober {
+	return &prober{we: we, ws: newWalkScratch(graph.NewBitset(we.m), graph.NewBitset(we.n), we.n, we.pairWords)}
+}
+
+// probe returns the CutStats the engine would report after adding the
+// given mixed-universe items (node v < n, edge v-n otherwise) to its
+// fault set, without touching the walk cache. It is exact for the reason
+// the add toggles are: a pair outside every item's add row — the walks
+// crossing a link (travRows), or entering or ending at a node (visitRows
+// ∪ endpointRows) — walks identically once the items fail, so only the
+// union of those rows is re-walked, against the fault view "current set
+// plus items", and a copy of the running stats is adjusted by the
+// outcome changes. Items already in the fault set are harmless: their
+// add rows hold no pair whose walk could change.
+func (pr *prober) probe(items ...int) CutStats {
+	we, ws := pr.we, &pr.ws
+	ws.cut.Clear()
+	ws.cut.UnionWith(we.cut)
+	ws.down.Clear()
+	ws.down.UnionWith(we.nodeFault)
+	clear(ws.row)
+	pw := we.pairWords
+	for _, v := range items {
+		if v < we.n {
+			ws.down.Add(v)
+			orRow(ws.row, we.visitRows[v*pw:(v+1)*pw])
+			orRow(ws.row, we.endpointRows[v*pw:(v+1)*pw])
+		} else {
+			id := v - we.n
+			ws.cut.Add(id)
+			orRow(ws.row, we.travRows[id*pw:(id+1)*pw])
+		}
+	}
+	s := we.stats
+	for wi, word := range ws.row {
+		base := wi << 6
+		for word != 0 {
+			p := base | bits.TrailingZeros64(word)
+			word &= word - 1
+			if out, old := we.walk(int32(p), ws, false), we.outcome[p]; out != old {
+				s.bump(old, -1)
+				s.bump(out, 1)
+			}
+		}
+	}
+	return s
 }

@@ -38,9 +38,13 @@ func fuzzCutGraph(n int, extra uint64) *graph.Graph {
 // outcomes and stats must equal a from-scratch mixed-oracle evaluation
 // (Skipped for failed endpoints, WalkUnderFaults otherwise), and the
 // engine-backed budget-1 exhaustive adversaries — link-only and mixed —
-// must reproduce their legacy searches exactly. This is the
+// must reproduce their legacy searches exactly. At every stage a
+// read-only probe of each absent item must equal the mixed oracle of
+// the fault set plus that item, and the sampled+greedy adversaries,
+// which score candidates by such probes, must reproduce their legacy
+// searches at budget 2 under a fuzzed seed. This is the
 // invalidation-correctness property the engine's speed rests on (only
-// pairs whose walk touched a toggled item are re-walked).
+// pairs whose walk touched a toggled or probed item are re-walked).
 func FuzzWalkEngineEquivalence(f *testing.F) {
 	f.Add(uint8(6), uint64(0), uint64(0), uint64(0), uint64(0))
 	f.Add(uint8(10), uint64(0x5a5a), uint64(0x11), uint64(0b1010), uint64(0x9))
@@ -58,6 +62,7 @@ func FuzzWalkEngineEquivalence(f *testing.F) {
 		}
 		ft := routing.CompileFailover(m)
 		we := NewWalkEngine(ft, g)
+		pr := we.newProber()
 		edges := g.Edges()
 
 		cut := map[int]bool{}
@@ -86,6 +91,25 @@ func FuzzWalkEngineEquivalence(f *testing.F) {
 				}
 				if got := we.Outcome(i); got != want {
 					t.Fatalf("%s: pair (%d,%d) engine %v, legacy %v (F %v E %v)", stage, p[0], p[1], got, want, nodes, cuts)
+				}
+			}
+			for v := 0; v < n; v++ {
+				if down[v] {
+					continue
+				}
+				want := walkAllPairsMixed(ft, routing.FaultSetOf(n, append(nodes[:len(nodes):len(nodes)], v), cuts))
+				if got := pr.probe(v); got != want {
+					t.Fatalf("%s: probe of node %d %v, legacy %v (F %v E %v)", stage, v, got, want, nodes, cuts)
+				}
+			}
+			for i, e := range edges {
+				if cut[i] {
+					continue
+				}
+				extra := append(cuts[:len(cuts):len(cuts)], routing.EdgeFault{U: e[0], V: e[1]})
+				want := walkAllPairsMixed(ft, routing.FaultSetOf(n, nodes, extra))
+				if got := pr.probe(n + i); got != want {
+					t.Fatalf("%s: probe of link %v %v, legacy %v (F %v E %v)", stage, e, got, want, nodes, cuts)
 				}
 			}
 		}
@@ -145,6 +169,15 @@ func FuzzWalkEngineEquivalence(f *testing.F) {
 		wantM := WorstMixedFaultsLegacy(ft, g, 1, cfg)
 		if !reflect.DeepEqual(gotM, wantM) {
 			t.Fatalf("mixed adversary diverged: engine %v, legacy %v", gotM, wantM)
+		}
+
+		// The probe-backed sampled+greedy adversaries at budget 2.
+		cfg = Config{Mode: Sampled, Samples: 8, Greedy: true, Seed: int64(cutBits ^ repairBits)}
+		if got, want := WorstLinkCuts(ft, g, 2, cfg), WorstLinkCutsLegacy(ft, g, 2, cfg); !reflect.DeepEqual(got, want) {
+			t.Fatalf("sampled adversary diverged: engine %v, legacy %v", got, want)
+		}
+		if got, want := WorstMixedFaults(ft, g, 2, cfg), WorstMixedFaultsLegacy(ft, g, 2, cfg); !reflect.DeepEqual(got, want) {
+			t.Fatalf("sampled mixed adversary diverged: engine %v, legacy %v", got, want)
 		}
 	})
 }

@@ -198,14 +198,112 @@ func TestWorstLinkCutsEngineMatchesLegacy(t *testing.T) {
 }
 
 // TestWorstLinkCutsParallelWorkerCounts checks the merge is worker-count
-// independent, including workers > units.
+// independent, including workers > units, for the exhaustive search on
+// per-worker clones and for the sampled+greedy search whose workers
+// probe one shared engine.
 func TestWorstLinkCutsParallelWorkerCounts(t *testing.T) {
 	it := walkEngineInstances(t)[1] // Q3 reinforced
-	cfg := Config{Mode: Exhaustive}
-	want := WorstLinkCuts(it.ft, it.g, 2, cfg)
-	for _, workers := range []int{1, 2, 3, 64} {
-		if got := WorstLinkCutsParallel(it.ft, it.g, 2, cfg, workers); !reflect.DeepEqual(got, want) {
-			t.Fatalf("workers=%d: %v, want %v", workers, got, want)
+	for _, cfg := range []Config{
+		{Mode: Exhaustive},
+		{Mode: Sampled, Samples: 10, Greedy: true, Seed: 5},
+	} {
+		want := WorstLinkCuts(it.ft, it.g, 2, cfg)
+		for _, workers := range []int{1, 2, 3, 64} {
+			if got := WorstLinkCutsParallel(it.ft, it.g, 2, cfg, workers); !reflect.DeepEqual(got, want) {
+				t.Fatalf("cfg %+v workers=%d: %v, want %v", cfg, workers, got, want)
+			}
+		}
+	}
+}
+
+// walkSnapshot is a deep copy of a WalkEngine's mutable walk cache,
+// compared element by element (a nil and an empty item list are equal).
+type walkSnapshot struct {
+	outcome []routing.Outcome
+	lists   [4][][]int32 // trav, blocked, visited, blockedN
+	fails   []int32
+	rows    [4][]uint64 // travRows, blockRows, visitRows, blockNodeRows
+	stats   CutStats
+	cut     []int
+	nodes   []int
+}
+
+func snapshotWalk(we *WalkEngine) walkSnapshot {
+	s := walkSnapshot{
+		outcome: append([]routing.Outcome(nil), we.outcome...),
+		fails:   append([]int32(nil), we.fails...),
+		stats:   we.stats,
+		cut:     we.cut.Elements(),
+		nodes:   we.nodeFault.Elements(),
+	}
+	for i, l := range [][][]int32{we.trav, we.blocked, we.visited, we.blockedN} {
+		s.lists[i] = make([][]int32, len(l))
+		for p := range l {
+			s.lists[i][p] = append([]int32{}, l[p]...)
+		}
+	}
+	for i, r := range [][]uint64{we.travRows, we.blockRows, we.visitRows, we.blockNodeRows} {
+		s.rows[i] = append([]uint64(nil), r...)
+	}
+	return s
+}
+
+// TestWalkProbeMatchesToggle pins the read-only probe to the toggle
+// path: on every instance and on seeded random mixed prefix states of
+// size 0-2, probing any absent item, or a random pair of absent items,
+// must return exactly the Stats() the engine reports after really
+// toggling them in — and the probes must leave every part of the walk
+// cache as they found it.
+func TestWalkProbeMatchesToggle(t *testing.T) {
+	for _, it := range walkEngineInstances(t) {
+		items := it.g.N() + len(it.g.Edges())
+		rng := rand.New(rand.NewSource(17))
+		for trial := 0; trial < 6; trial++ {
+			we := NewWalkEngine(it.ft, it.g)
+			in := graph.NewBitset(items)
+			for k := trial % 3; in.Count() < k; {
+				in.Add(rng.Intn(items))
+			}
+			for _, v := range in.Elements() {
+				we.toggleMixedItem(v, true)
+			}
+			var absent []int
+			for v := 0; v < items; v++ {
+				if !in.Has(v) {
+					absent = append(absent, v)
+				}
+			}
+			var probes [][]int
+			for _, v := range absent {
+				probes = append(probes, []int{v})
+			}
+			for i := 0; i < 30; i++ {
+				a, b := absent[rng.Intn(len(absent))], absent[rng.Intn(len(absent))]
+				if a != b {
+					probes = append(probes, []int{a, b})
+				}
+			}
+			before := snapshotWalk(we)
+			pr := we.newProber()
+			got := make([]CutStats, len(probes))
+			for i, set := range probes {
+				got[i] = pr.probe(set...)
+			}
+			if after := snapshotWalk(we); !reflect.DeepEqual(after, before) {
+				t.Fatalf("%s prefix %v: probing mutated the engine", it.name, in.Elements())
+			}
+			for i, set := range probes {
+				for _, v := range set {
+					we.toggleMixedItem(v, true)
+				}
+				want := we.Stats()
+				for _, v := range set {
+					we.toggleMixedItem(v, false)
+				}
+				if got[i] != want {
+					t.Fatalf("%s prefix %v: probe of %v = %v, toggled stats %v", it.name, in.Elements(), set, got[i], want)
+				}
+			}
 		}
 	}
 }
