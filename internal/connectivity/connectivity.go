@@ -34,65 +34,68 @@ var (
 func inNode(v int) int  { return 2 * v }
 func outNode(v int) int { return 2*v + 1 }
 
-// splitNetwork builds the vertex-split flow network of g. Nodes in the
-// uncap set get infinite internal capacity so they can anchor multiple
-// paths. Edge arcs get capacity edgeCap: pass flow.Inf when s and t are
-// guaranteed non-adjacent, which confines every minimum cut to internal
-// arcs and makes vertex-separator extraction exact; pass 1 for networks
-// whose flow will be decomposed into paths (a direct s–t edge must not
-// be reused).
-func splitNetwork(g *graph.Graph, edgeCap int, uncap ...int) *flow.Network {
+// internalArc is the id of v's internal arc v_in → v_out. Every split
+// network adds the internal arcs first, in node order.
+func internalArc(v int) int { return 2 * v }
+
+// stNetwork is the vertex-split flow network of g with unit internal
+// arcs, built once and shared by every s–t flow of one query: each flow
+// restores the capacities and opens the internal arcs of s and t with
+// two SetCap calls, so s and t can anchor any number of paths. Edge
+// arcs get capacity edgeCap: pass flow.Inf when s and t are guaranteed
+// non-adjacent, which confines every minimum cut to internal arcs and
+// makes vertex-separator extraction exact; pass 1 for networks whose
+// flow will be decomposed into paths (a direct s–t edge must not be
+// reused).
+type stNetwork struct {
+	g  *graph.Graph
+	nw *flow.Network
+}
+
+func newSTNetwork(g *graph.Graph, edgeCap int) *stNetwork {
 	n := g.N()
+	edges := g.Edges()
 	nw := flow.NewNetwork(2 * n)
-	unlimited := make(map[int]bool, len(uncap))
-	for _, u := range uncap {
-		if u >= 0 {
-			unlimited[u] = true
-		}
-	}
+	nw.Grow(n + 2*len(edges))
 	for v := 0; v < n; v++ {
-		c := 1
-		if unlimited[v] {
-			c = flow.Inf
-		}
-		nw.AddArc(inNode(v), outNode(v), c)
+		nw.AddArc(inNode(v), outNode(v), 1)
 	}
-	for _, e := range g.Edges() {
+	for _, e := range edges {
 		nw.AddArc(outNode(e[0]), inNode(e[1]), edgeCap)
 		nw.AddArc(outNode(e[1]), inNode(e[0]), edgeCap)
 	}
-	return nw
+	nw.Snapshot()
+	return &stNetwork{g: g, nw: nw}
 }
 
-// STConnectivity returns the maximum number of internally node-disjoint
-// s–t paths (equivalently, by Menger's theorem, the minimum number of
-// nodes whose removal separates s from t). s and t must be distinct and
-// non-adjacent; adjacent pairs return ErrAdjacent.
-func STConnectivity(g *graph.Graph, s, t int) (int, error) {
+// checkPair rejects s–t queries on nodes outside g or with s == t.
+func checkPair(g *graph.Graph, s, t int) error {
+	for _, v := range [2]int{s, t} {
+		if v < 0 || v >= g.N() {
+			return fmt.Errorf("connectivity: node %d out of range [0,%d)", v, g.N())
+		}
+	}
 	if s == t {
-		return 0, fmt.Errorf("connectivity: s == t == %d", s)
+		return fmt.Errorf("connectivity: s == t == %d", s)
 	}
-	if g.HasEdge(s, t) {
-		return 0, fmt.Errorf("%w: %d-%d", ErrAdjacent, s, t)
-	}
-	nw := splitNetwork(g, flow.Inf, s, t)
-	return nw.MaxFlow(outNode(s), inNode(t), flow.Inf), nil
+	return nil
 }
 
-// STSeparator returns a minimum set of nodes (excluding s and t) whose
-// removal disconnects s from t. s and t must be non-adjacent.
-func STSeparator(g *graph.Graph, s, t int) ([]int, error) {
-	if s == t {
-		return nil, fmt.Errorf("connectivity: s == t == %d", s)
-	}
-	if g.HasEdge(s, t) {
-		return nil, fmt.Errorf("%w: %d-%d", ErrAdjacent, s, t)
-	}
-	nw := splitNetwork(g, flow.Inf, s, t)
-	nw.MaxFlow(outNode(s), inNode(t), flow.Inf)
-	seen := nw.MinCutReachable(outNode(s))
+// maxFlow returns the s–t flow, stopping once it reaches limit.
+func (sn *stNetwork) maxFlow(s, t, limit int) int {
+	sn.nw.Restore()
+	sn.nw.SetCap(internalArc(s), flow.Inf)
+	sn.nw.SetCap(internalArc(t), flow.Inf)
+	return sn.nw.MaxFlow(outNode(s), inNode(t), limit)
+}
+
+// separator returns a minimum set of nodes other than s and t whose
+// removal disconnects them; the network's edge arcs must be infinite.
+func (sn *stNetwork) separator(s, t int) []int {
+	sn.maxFlow(s, t, flow.Inf)
+	seen := sn.nw.MinCutReachable(outNode(s))
 	var cut []int
-	for v := 0; v < g.N(); v++ {
+	for v := 0; v < sn.g.N(); v++ {
 		if v == s || v == t {
 			continue
 		}
@@ -102,7 +105,34 @@ func STSeparator(g *graph.Graph, s, t int) ([]int, error) {
 			cut = append(cut, v)
 		}
 	}
-	return cut, nil
+	return cut
+}
+
+// STConnectivity returns the maximum number of internally node-disjoint
+// s–t paths (equivalently, by Menger's theorem, the minimum number of
+// nodes whose removal separates s from t). s and t must be distinct and
+// non-adjacent nodes of g; adjacent pairs return ErrAdjacent.
+func STConnectivity(g *graph.Graph, s, t int) (int, error) {
+	if err := checkPair(g, s, t); err != nil {
+		return 0, err
+	}
+	if g.HasEdge(s, t) {
+		return 0, fmt.Errorf("%w: %d-%d", ErrAdjacent, s, t)
+	}
+	return newSTNetwork(g, flow.Inf).maxFlow(s, t, flow.Inf), nil
+}
+
+// STSeparator returns a minimum set of nodes (excluding s and t) whose
+// removal disconnects s from t. s and t must be distinct and
+// non-adjacent nodes of g.
+func STSeparator(g *graph.Graph, s, t int) ([]int, error) {
+	if err := checkPair(g, s, t); err != nil {
+		return nil, err
+	}
+	if g.HasEdge(s, t) {
+		return nil, fmt.Errorf("%w: %d-%d", ErrAdjacent, s, t)
+	}
+	return newSTNetwork(g, flow.Inf).separator(s, t), nil
 }
 
 // DisjointPaths returns k internally node-disjoint paths from s to t,
@@ -110,15 +140,15 @@ func STSeparator(g *graph.Graph, s, t int) ([]int, error) {
 // exist it returns ErrTooFewPaths. Unlike STConnectivity, s and t may be
 // adjacent; the direct edge counts as one path.
 func DisjointPaths(g *graph.Graph, s, t, k int) ([][]int, error) {
-	if s == t {
-		return nil, fmt.Errorf("connectivity: s == t == %d", s)
+	if err := checkPair(g, s, t); err != nil {
+		return nil, err
 	}
-	nw := splitNetwork(g, 1, s, t)
-	got := nw.MaxFlow(outNode(s), inNode(t), k)
+	sn := newSTNetwork(g, 1)
+	got := sn.maxFlow(s, t, k)
 	if got < k {
 		return nil, fmt.Errorf("%w: want %d, have %d between %d and %d", ErrTooFewPaths, k, got, s, t)
 	}
-	raw := nw.DecomposePaths(outNode(s), inNode(t), k)
+	raw := sn.nw.DecomposePaths(outNode(s), inNode(t), k)
 	paths := make([][]int, len(raw))
 	for i, rp := range raw {
 		paths[i] = unsplit(rp)
@@ -167,48 +197,39 @@ func VertexConnectivity(g *graph.Graph) (int, []int, error) {
 			v = u
 		}
 	}
+	// Every flow runs on one shared split network. A flow only has to
+	// beat the best so far, so each is capped there: a capped value
+	// never replaces the incumbent, and an uncapped one is exact.
+	sn := newSTNetwork(g, flow.Inf)
 	best := n - 1
 	var bestPair [2]int
 	havePair := false
-	consider := func(s, t int) error {
+	consider := func(s, t int) {
 		if g.HasEdge(s, t) || s == t {
-			return nil
+			return
 		}
-		k, err := STConnectivity(g, s, t)
-		if err != nil {
-			return err
-		}
-		if k < best || !havePair {
+		if k := sn.maxFlow(s, t, best); k < best || !havePair {
 			best = k
 			bestPair = [2]int{s, t}
 			havePair = true
 		}
-		return nil
 	}
 	for u := 0; u < n; u++ {
 		if u != v {
-			if err := consider(v, u); err != nil {
-				return 0, nil, err
-			}
+			consider(v, u)
 		}
 	}
 	nbrs := g.Neighbors(v)
 	for i := 0; i < len(nbrs); i++ {
 		for j := i + 1; j < len(nbrs); j++ {
-			if err := consider(nbrs[i], nbrs[j]); err != nil {
-				return 0, nil, err
-			}
+			consider(nbrs[i], nbrs[j])
 		}
 	}
 	if !havePair {
 		// No non-adjacent pair anywhere we probed; the graph is complete.
 		return n - 1, nil, ErrComplete
 	}
-	sep, err := STSeparator(g, bestPair[0], bestPair[1])
-	if err != nil {
-		return 0, nil, err
-	}
-	return best, sep, nil
+	return best, sn.separator(bestPair[0], bestPair[1]), nil
 }
 
 // IsKConnected reports whether g is k-node-connected, using flows capped
@@ -235,28 +256,20 @@ func IsKConnected(g *graph.Graph, k int) (bool, error) {
 	if g.Degree(v) < k {
 		return false, nil
 	}
-	check := func(s, t int) (bool, error) {
-		if s == t || g.HasEdge(s, t) {
-			return true, nil
-		}
-		nw := splitNetwork(g, flow.Inf, s, t)
-		return nw.MaxFlow(outNode(s), inNode(t), k) >= k, nil
+	sn := newSTNetwork(g, flow.Inf)
+	check := func(s, t int) bool {
+		return s == t || g.HasEdge(s, t) || sn.maxFlow(s, t, k) >= k
 	}
 	for u := 0; u < n; u++ {
-		if u == v {
-			continue
-		}
-		ok, err := check(v, u)
-		if err != nil || !ok {
-			return false, err
+		if u != v && !check(v, u) {
+			return false, nil
 		}
 	}
 	nbrs := g.Neighbors(v)
 	for i := 0; i < len(nbrs); i++ {
 		for j := i + 1; j < len(nbrs); j++ {
-			ok, err := check(nbrs[i], nbrs[j])
-			if err != nil || !ok {
-				return false, err
+			if !check(nbrs[i], nbrs[j]) {
+				return false, nil
 			}
 		}
 	}

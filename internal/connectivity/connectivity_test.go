@@ -302,6 +302,9 @@ func checkTreeRouting(t *testing.T, g *graph.Graph, x int, members []int, paths 
 			}
 		}
 		for _, v := range p[1 : len(p)-1] {
+			if v == x {
+				t.Fatalf("path revisits x: %v", p)
+			}
 			if inM[v] {
 				t.Fatalf("internal node %d is in M: %v", v, p)
 			}

@@ -56,6 +56,37 @@ func newBipolarSets(g *graph.Graph, tt *TwoTrees) *bipolarSets {
 	return s
 }
 
+// treeJobs lists the tree routings of both bipolar constructions in
+// install order: for every x, one into M1 if into1(x) and one into M2 if
+// into2(x) (components 1 and 2); then from every m ∈ M1 into every
+// Γ(m'), m' ∈ M1 (component 3), and likewise for M2 (component 4).
+func (s *bipolarSets) treeJobs(g *graph.Graph, t int, into1, into2 func(x int) bool) *treeJobs {
+	trees := newTreeJobs(g, t+1)
+	m1, m2 := trees.addSet(s.m1), trees.addSet(s.m2)
+	for x := 0; x < g.N(); x++ {
+		if into1(x) {
+			trees.add(x, m1)
+		}
+		if into2(x) {
+			trees.add(x, m2)
+		}
+	}
+	around := func(members []int, gammas [][]int) {
+		first := len(trees.sets)
+		for _, gset := range gammas {
+			trees.addSet(gset)
+		}
+		for _, m := range members {
+			for i := range gammas {
+				trees.add(m, first+i)
+			}
+		}
+	}
+	around(s.m1, s.gamma1)
+	around(s.m2, s.gamma2)
+	return trees
+}
+
 // resolveBipolar computes t and the two-trees witness.
 func resolveBipolar(g *graph.Graph, opts Options) (int, *TwoTrees, error) {
 	t, err := resolveTolerance(g, opts)
@@ -93,34 +124,12 @@ func BipolarUnidirectional(g *graph.Graph, opts Options) (*routing.Routing, *Bip
 	}
 	s := newBipolarSets(g, tt)
 	r := routing.New(g)
-	for x := 0; x < g.N(); x++ {
-		// Component B-POL 1.
-		if !s.inM1.Has(x) {
-			if err := addTreeRouting(r, g, x, s.m1, t+1); err != nil {
-				return nil, nil, err
-			}
-		}
-		// Component B-POL 2.
-		if !s.inM2.Has(x) {
-			if err := addTreeRouting(r, g, x, s.m2, t+1); err != nil {
-				return nil, nil, err
-			}
-		}
-	}
-	// Components B-POL 3 and B-POL 4.
-	for _, m := range s.m1 {
-		for _, gset := range s.gamma1 {
-			if err := addTreeRouting(r, g, m, gset, t+1); err != nil {
-				return nil, nil, err
-			}
-		}
-	}
-	for _, m := range s.m2 {
-		for _, gset := range s.gamma2 {
-			if err := addTreeRouting(r, g, m, gset, t+1); err != nil {
-				return nil, nil, err
-			}
-		}
+	// Components B-POL 1 (x ∉ M1), B-POL 2 (x ∉ M2), B-POL 3 and B-POL 4.
+	trees := s.treeJobs(g, t,
+		func(x int) bool { return !s.inM1.Has(x) },
+		func(x int) bool { return !s.inM2.Has(x) })
+	if err := trees.install(r.Set); err != nil {
+		return nil, nil, err
 	}
 	// Component B-POL 6 before B-POL 5 so that edge pairs are complete in
 	// both directions and are not double-filled.
@@ -154,34 +163,13 @@ func BipolarBidirectional(g *graph.Graph, opts Options) (*routing.Routing, *Bipo
 	}
 	s := newBipolarSets(g, tt)
 	r := routing.NewBidirectional(g)
-	for x := 0; x < g.N(); x++ {
-		// Component 2B-POL 1: x ∉ M ∪ Γ1.
-		if !s.inM1.Has(x) && !s.inM2.Has(x) && !s.inG1.Has(x) {
-			if err := addTreeRouting(r, g, x, s.m1, t+1); err != nil {
-				return nil, nil, err
-			}
-		}
-		// Component 2B-POL 2: x ∉ M2 ∪ Γ2.
-		if !s.inM2.Has(x) && !s.inG2.Has(x) {
-			if err := addTreeRouting(r, g, x, s.m2, t+1); err != nil {
-				return nil, nil, err
-			}
-		}
-	}
-	// Components 2B-POL 3 and 2B-POL 4.
-	for _, m := range s.m1 {
-		for _, gset := range s.gamma1 {
-			if err := addTreeRouting(r, g, m, gset, t+1); err != nil {
-				return nil, nil, err
-			}
-		}
-	}
-	for _, m := range s.m2 {
-		for _, gset := range s.gamma2 {
-			if err := addTreeRouting(r, g, m, gset, t+1); err != nil {
-				return nil, nil, err
-			}
-		}
+	// Components 2B-POL 1 (x ∉ M ∪ Γ1), 2B-POL 2 (x ∉ M2 ∪ Γ2), 2B-POL 3
+	// and 2B-POL 4.
+	trees := s.treeJobs(g, t,
+		func(x int) bool { return !s.inM1.Has(x) && !s.inM2.Has(x) && !s.inG1.Has(x) },
+		func(x int) bool { return !s.inM2.Has(x) && !s.inG2.Has(x) })
+	if err := trees.install(r.Set); err != nil {
+		return nil, nil, err
 	}
 	// Component 2B-POL 5.
 	if err := r.AddEdgeRoutes(); err != nil {

@@ -78,14 +78,15 @@ func Circular(g *graph.Graph, opts Options) (*routing.Routing, *CircularInfo, er
 // component with its own cross-ring logic.
 func buildCircularComponents(r *routing.Routing, g *graph.Graph, m []int, t int, treesFromOutside bool) error {
 	k := len(m)
-	gamma := make([][]int, k)
+	trees := newTreeJobs(g, t+1)     // target set i is Γ_i
 	memberRing := make([]int, g.N()) // ring index of each node in Γ, else -1
 	for i := range memberRing {
 		memberRing[i] = -1
 	}
 	for i, mi := range m {
-		gamma[i] = g.Neighbors(mi)
-		for _, v := range gamma[i] {
+		gamma := g.Neighbors(mi)
+		trees.addSet(gamma)
+		for _, v := range gamma {
 			memberRing[v] = i
 		}
 	}
@@ -98,19 +99,14 @@ func buildCircularComponents(r *routing.Routing, g *graph.Graph, m []int, t int,
 			}
 			// Component CIRC 1: x ∉ Γ routes to every Γ_i.
 			for i := 0; i < k; i++ {
-				if err := addTreeRouting(r, g, x, gamma[i], t+1); err != nil {
-					return err
-				}
+				trees.add(x, i)
 			}
 			continue
 		}
 		// Component CIRC 2: x ∈ Γ_i routes forward around the ring.
 		for j := 1; j <= forward; j++ {
-			i := (ring + j) % k
-			if err := addTreeRouting(r, g, x, gamma[i], t+1); err != nil {
-				return err
-			}
+			trees.add(x, (ring+j)%k)
 		}
 	}
-	return nil
+	return trees.install(r.Set)
 }

@@ -45,6 +45,36 @@ func resolveTolerance(g *graph.Graph, opts Options) (int, error) {
 	return k - 1, nil
 }
 
+// resolveSeparator returns opts.Separator, checked by checkSeparator,
+// or a minimum separating set of g.
+func resolveSeparator(g *graph.Graph, opts Options) ([]int, error) {
+	if opts.Separator != nil {
+		return opts.Separator, checkSeparator(g, opts.Separator)
+	}
+	m, err := connectivity.MinimumSeparator(g)
+	if err != nil {
+		return nil, fmt.Errorf("%w: no separating set: %v", ErrNotApplicable, err)
+	}
+	return m, nil
+}
+
+// checkSeparator rejects a caller-supplied separator that names a node
+// outside g or names a node twice (which would count twice toward
+// |M| >= t+1).
+func checkSeparator(g *graph.Graph, sep []int) error {
+	seen := graph.NewBitset(g.N())
+	for _, v := range sep {
+		if v < 0 || v >= g.N() {
+			return fmt.Errorf("%w: separator node %d out of range [0,%d)", ErrNotApplicable, v, g.N())
+		}
+		if seen.Has(v) {
+			return fmt.Errorf("%w: separator node %d listed twice", ErrNotApplicable, v)
+		}
+		seen.Add(v)
+	}
+	return nil
+}
+
 // KernelInfo describes a constructed kernel routing.
 type KernelInfo struct {
 	T         int   // tolerated faults: routing is (2t,t)- and (4,⌊t/2⌋)-tolerant
@@ -62,12 +92,9 @@ func Kernel(g *graph.Graph, opts Options) (*routing.Routing, *KernelInfo, error)
 	if err != nil {
 		return nil, nil, err
 	}
-	m := opts.Separator
-	if m == nil {
-		m, err = connectivity.MinimumSeparator(g)
-		if err != nil {
-			return nil, nil, fmt.Errorf("%w: no separating set: %v", ErrNotApplicable, err)
-		}
+	m, err := resolveSeparator(g, opts)
+	if err != nil {
+		return nil, nil, err
 	}
 	if len(m) < t+1 {
 		return nil, nil, fmt.Errorf("%w: separator size %d < t+1 = %d", ErrConnectivity, len(m), t+1)
@@ -78,33 +105,19 @@ func Kernel(g *graph.Graph, opts Options) (*routing.Routing, *KernelInfo, error)
 		inM.Add(v)
 	}
 	// Component KERNEL 1: tree routings into the separator.
+	trees := newTreeJobs(g, t+1)
+	sep := trees.addSet(m)
 	for x := 0; x < g.N(); x++ {
-		if inM.Has(x) {
-			continue
+		if !inM.Has(x) {
+			trees.add(x, sep)
 		}
-		if err := addTreeRouting(r, g, x, m, t+1); err != nil {
-			return nil, nil, err
-		}
+	}
+	if err := trees.install(r.Set); err != nil {
+		return nil, nil, err
 	}
 	// Component KERNEL 2: direct edge routes.
 	if err := r.AddEdgeRoutes(); err != nil {
 		return nil, nil, err
 	}
 	return r, &KernelInfo{T: t, Separator: m}, nil
-}
-
-// addTreeRouting installs a tree routing from x to k distinct members of
-// m: k node-disjoint paths (Lemma 2) inserted into r with conflict
-// checking.
-func addTreeRouting(r *routing.Routing, g *graph.Graph, x int, m []int, k int) error {
-	paths, err := connectivity.DisjointPathsToSet(g, x, m, k)
-	if err != nil {
-		return fmt.Errorf("%w: tree routing from %d: %v", ErrNotApplicable, x, err)
-	}
-	for _, p := range paths {
-		if err := r.Set(routing.Path(p)); err != nil {
-			return err
-		}
-	}
-	return nil
 }

@@ -103,12 +103,9 @@ func TwoRouteMultirouting(g *graph.Graph, opts Options) (*routing.MultiRouting, 
 	if err != nil {
 		return nil, nil, err
 	}
-	sep := opts.Separator
-	if sep == nil {
-		sep, err = connectivity.MinimumSeparator(g)
-		if err != nil {
-			return nil, nil, fmt.Errorf("%w: no separating set: %v", ErrNotApplicable, err)
-		}
+	sep, err := resolveSeparator(g, opts)
+	if err != nil {
+		return nil, nil, err
 	}
 	if len(sep) < t+1 {
 		return nil, nil, fmt.Errorf("%w: separator size %d < t+1", ErrConnectivity, len(sep))
@@ -118,47 +115,42 @@ func TwoRouteMultirouting(g *graph.Graph, opts Options) (*routing.MultiRouting, 
 		inM.Add(v)
 	}
 	m := routing.NewMulti(g, 2, true)
-	addPaths := func(paths [][]int, err error) error {
-		if err != nil {
-			return fmt.Errorf("%w: %v", ErrNotApplicable, err)
-		}
-		for _, p := range paths {
-			if aerr := m.Add(routing.Path(p)); aerr != nil {
-				return aerr
-			}
-		}
-		return nil
-	}
 	// Component MULT 1.
+	mult1 := newTreeJobs(g, t+1)
+	into := mult1.addSet(sep)
 	for x := 0; x < g.N(); x++ {
-		if inM.Has(x) {
-			continue
-		}
-		if err := addPaths(connectivity.DisjointPathsToSet(g, x, sep, t+1)); err != nil {
-			return nil, nil, err
+		if !inM.Has(x) {
+			mult1.add(x, into)
 		}
 	}
-	// Component MULT 2: m_i to the neighborhood of every other member.
-	// Unlike the bipolar construction, the Γ(m_j) sets of a separating
-	// set may overlap, so a pair can be offered more than two routes;
-	// the paper's two-route budget is honored by keeping the first two
-	// (AddCapped). Experiment E11 measures the resulting tolerance.
+	if err := mult1.install(m.Add); err != nil {
+		return nil, nil, err
+	}
+	// Component MULT 2: m_i to the neighborhood of every other member
+	// (target set j is Γ(m_j)). Unlike the bipolar construction, the
+	// Γ(m_j) sets of a separating set may overlap, so a pair can be
+	// offered more than two routes; the paper's two-route budget is
+	// honored by keeping the first two (AddCapped). Experiment E11
+	// measures the resulting tolerance.
+	mult2 := newTreeJobs(g, t+1)
+	for _, mj := range sep {
+		mult2.addSet(g.Neighbors(mj))
+	}
 	for _, mi := range sep {
-		for _, mj := range sep {
+		for j, mj := range sep {
 			if mi == mj || g.HasEdge(mi, mj) {
 				// Adjacent members reach each other via MULT 3 directly.
 				continue
 			}
-			paths, perr := connectivity.DisjointPathsToSet(g, mi, g.Neighbors(mj), t+1)
-			if perr != nil {
-				return nil, nil, fmt.Errorf("%w: %v", ErrNotApplicable, perr)
-			}
-			for _, p := range paths {
-				if _, aerr := m.AddCapped(routing.Path(p)); aerr != nil {
-					return nil, nil, aerr
-				}
-			}
+			mult2.add(mi, j)
 		}
+	}
+	err = mult2.install(func(p routing.Path) error {
+		_, err := m.AddCapped(p)
+		return err
+	})
+	if err != nil {
+		return nil, nil, err
 	}
 	// Component MULT 3.
 	for _, e := range g.Edges() {

@@ -94,8 +94,8 @@ func GreedyNeighborhoodBound(n, maxDegree int) int {
 }
 
 // CheckNeighborhoodSet verifies the defining property of a neighborhood
-// set: members are pairwise non-adjacent and have pairwise disjoint
-// neighbor sets. It returns nil if the property holds.
+// set: members are distinct nodes of g, pairwise non-adjacent, with
+// pairwise disjoint neighbor sets. It returns nil if the property holds.
 func CheckNeighborhoodSet(g *graph.Graph, m []int) error {
 	n := g.N()
 	owner := make([]int, n)
@@ -104,6 +104,12 @@ func CheckNeighborhoodSet(g *graph.Graph, m []int) error {
 	}
 	inM := graph.NewBitset(n)
 	for _, x := range m {
+		if x < 0 || x >= n {
+			return fmt.Errorf("core: neighborhood set member %d out of range [0,%d)", x, n)
+		}
+		if inM.Has(x) {
+			return fmt.Errorf("core: neighborhood set member %d listed twice", x)
+		}
 		inM.Add(x)
 	}
 	for _, x := range m {

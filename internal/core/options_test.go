@@ -126,3 +126,70 @@ func TestFullMultiroutingRejectsUnderConnected(t *testing.T) {
 		t.Fatalf("path cannot host 3 disjoint paths: %v", err)
 	}
 }
+
+// TestBadNodeListsRejected checks that a caller-supplied separator or
+// concentrator naming a node outside the graph, or naming a node twice,
+// is rejected up front with ErrNotApplicable rather than panicking or
+// failing later with a conflicting route.
+func TestBadNodeListsRejected(t *testing.T) {
+	cube := mustGen(t)(gen.Hypercube(3)) // 8 nodes, t = 2
+	ring := mustGen(t)(gen.Cycle(15))    // t = 1, K = 3
+	bigRing := mustGen(t)(gen.Cycle(45)) // t = 1, tri-circular K = 15
+	separators := map[string][]int{
+		"separator out of range": {0, 3, 8},
+		"separator negative":     {-1, 3, 5},
+		"separator duplicate":    {3, 3, 5},
+	}
+	for name, sep := range separators {
+		opts := Options{Tolerance: 2, Separator: sep}
+		t.Run(name, func(t *testing.T) {
+			_, _, err := Kernel(cube, opts)
+			if !errors.Is(err, ErrNotApplicable) {
+				t.Errorf("Kernel: %v", err)
+			}
+			if _, _, err := KernelMultirouting(cube, opts); !errors.Is(err, ErrNotApplicable) {
+				t.Errorf("KernelMultirouting: %v", err)
+			}
+			if _, _, err := TwoRouteMultirouting(cube, opts); !errors.Is(err, ErrNotApplicable) {
+				t.Errorf("TwoRouteMultirouting: %v", err)
+			}
+			if _, _, _, err := CliqueAugmentedKernel(cube, opts); !errors.Is(err, ErrNotApplicable) {
+				t.Errorf("CliqueAugmentedKernel: %v", err)
+			}
+		})
+	}
+	// A duplicated entry must not make a too-small separator pass the
+	// |M| >= t+1 check: {1, 1} is one node for t = 1.
+	if _, _, err := Kernel(mustGen(t)(gen.Cycle(8)), Options{Tolerance: 1, Separator: []int{1, 1}}); !errors.Is(err, ErrNotApplicable) {
+		t.Errorf("Kernel with separator {1, 1}: %v", err)
+	}
+	// Circular on C15 needs K = 3 (valid: {0, 5, 10}); TriCircular on
+	// C45 needs K = 15 (valid: every third node). Each case spoils one
+	// entry of the valid set.
+	for _, tc := range []struct {
+		name string
+		i, v int
+	}{{"concentrator out of range", 2, 45}, {"concentrator negative", 0, -3}, {"concentrator duplicate", 1, 0}} {
+		t.Run(tc.name, func(t *testing.T) {
+			m := []int{0, 5, 10}
+			m[tc.i] = tc.v
+			if tc.v == 45 {
+				m[tc.i] = 15
+			}
+			if err := CheckNeighborhoodSet(ring, m); err == nil {
+				t.Errorf("CheckNeighborhoodSet accepted %v", m)
+			}
+			if _, _, err := Circular(ring, Options{Tolerance: 1, Concentrator: m}); !errors.Is(err, ErrNotApplicable) {
+				t.Errorf("Circular: %v", err)
+			}
+			long := make([]int, 15)
+			for j := range long {
+				long[j] = 3 * j
+			}
+			long[tc.i] = tc.v
+			if _, _, err := TriCircular(bigRing, Options{Tolerance: 1, Concentrator: long}); !errors.Is(err, ErrNotApplicable) {
+				t.Errorf("TriCircular: %v", err)
+			}
+		})
+	}
+}

@@ -63,47 +63,43 @@ func TriCircular(g *graph.Graph, opts Options) (*routing.Routing, *TriCircularIn
 		}
 	}
 	third := k / 3
-	gamma := make([][]int, k)    // indexed ring*third + pos
+	trees := newTreeJobs(g, t+1) // target sets Γ^j_i, indexed j*third + i
 	ringOf := make([]int, g.N()) // which ring a Γ node belongs to, else -1
 	posOf := make([]int, g.N())  // position within its ring
 	for i := range ringOf {
 		ringOf[i] = -1
 	}
 	for idx, mi := range m {
-		gamma[idx] = g.Neighbors(mi)
-		for _, v := range gamma[idx] {
+		gamma := g.Neighbors(mi)
+		trees.addSet(gamma)
+		for _, v := range gamma {
 			ringOf[v] = idx / third
 			posOf[v] = idx % third
 		}
 	}
 	forward := (third+1)/2 - 1 // within-ring forward range
-	r := routing.NewBidirectional(g)
 	for x := 0; x < g.N(); x++ {
 		if ringOf[x] == -1 {
 			// Component T-CIRC 1.
 			for idx := 0; idx < k; idx++ {
-				if err := addTreeRouting(r, g, x, gamma[idx], t+1); err != nil {
-					return nil, nil, err
-				}
+				trees.add(x, idx)
 			}
 			continue
 		}
 		j, i := ringOf[x], posOf[x]
 		// Component T-CIRC 2: forward within ring j.
 		for step := 1; step <= forward; step++ {
-			idx := j*third + (i+step)%third
-			if err := addTreeRouting(r, g, x, gamma[idx], t+1); err != nil {
-				return nil, nil, err
-			}
+			trees.add(x, j*third+(i+step)%third)
 		}
 		// Component T-CIRC 3: every set of ring j+1.
 		next := (j + 1) % 3
 		for l := 0; l < third; l++ {
-			idx := next*third + l
-			if err := addTreeRouting(r, g, x, gamma[idx], t+1); err != nil {
-				return nil, nil, err
-			}
+			trees.add(x, next*third+l)
 		}
+	}
+	r := routing.NewBidirectional(g)
+	if err := trees.install(r.Set); err != nil {
+		return nil, nil, err
 	}
 	// Component T-CIRC 4.
 	if err := r.AddEdgeRoutes(); err != nil {

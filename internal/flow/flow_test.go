@@ -2,6 +2,7 @@ package flow
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 )
 
@@ -131,6 +132,14 @@ func TestDecomposePathsMax(t *testing.T) {
 	}
 }
 
+func TestDecomposePathsSameNode(t *testing.T) {
+	nw := NewNetwork(2)
+	nw.AddArc(0, 1, 1)
+	if paths := nw.DecomposePaths(0, 0, -1); paths != nil {
+		t.Fatalf("s == t: paths %v, want none", paths)
+	}
+}
+
 func TestAddArcPanics(t *testing.T) {
 	nw := NewNetwork(2)
 	for _, tc := range []struct{ u, v, c int }{{-1, 0, 1}, {0, 2, 1}, {0, 1, -1}} {
@@ -213,5 +222,76 @@ func fordFulkerson(capm [][]int, s, t int) int {
 			resid[v][parent[v]] += aug
 		}
 		total += aug
+	}
+}
+
+// TestRestoreMatchesFreshNetwork solves many problems on one network —
+// Restore, then SetCap on a few arcs — and checks each flow value and
+// path decomposition against a network built from scratch with those
+// capacities.
+func TestRestoreMatchesFreshNetwork(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	for trial := 0; trial < 40; trial++ {
+		n := 3 + rng.Intn(8)
+		type arcSpec struct{ u, v, c int }
+		var specs []arcSpec
+		for u := 0; u < n; u++ {
+			for v := 0; v < n; v++ {
+				if u != v && rng.Float64() < 0.35 {
+					specs = append(specs, arcSpec{u, v, rng.Intn(3)})
+				}
+			}
+		}
+		shared := NewNetwork(n)
+		shared.Grow(len(specs))
+		for _, a := range specs {
+			shared.AddArc(a.u, a.v, a.c)
+		}
+		shared.Snapshot()
+		for round := 0; round < 6; round++ {
+			caps := make([]int, len(specs))
+			for i, a := range specs {
+				caps[i] = a.c
+			}
+			shared.Restore()
+			for j := 0; j < 2 && len(specs) > 0; j++ {
+				i := rng.Intn(len(specs))
+				caps[i] = rng.Intn(4)
+				shared.SetCap(2*i, caps[i])
+			}
+			fresh := NewNetwork(n)
+			for i, a := range specs {
+				fresh.AddArc(a.u, a.v, caps[i])
+			}
+			s, tt := rng.Intn(n), rng.Intn(n-1)
+			if tt >= s {
+				tt++
+			}
+			limit := 1 + rng.Intn(4)
+			if got, want := shared.MaxFlow(s, tt, limit), fresh.MaxFlow(s, tt, limit); got != want {
+				t.Fatalf("trial %d round %d: reused flow %d, fresh %d", trial, round, got, want)
+			}
+			got, want := shared.DecomposePaths(s, tt, -1), fresh.DecomposePaths(s, tt, -1)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("trial %d round %d: reused paths %v, fresh %v", trial, round, got, want)
+			}
+		}
+	}
+}
+
+// TestAddArcAfterMaxFlow checks that an arc added after a solve is seen
+// by the next one.
+func TestAddArcAfterMaxFlow(t *testing.T) {
+	nw := NewNetwork(3)
+	nw.AddArc(0, 1, 1)
+	nw.AddArc(1, 2, 1)
+	nw.Snapshot()
+	if got := nw.MaxFlow(0, 2, Inf); got != 1 {
+		t.Fatalf("flow = %d, want 1", got)
+	}
+	nw.Restore()
+	nw.AddArc(0, 2, 2)
+	if got := nw.MaxFlow(0, 2, Inf); got != 3 {
+		t.Fatalf("flow after AddArc = %d, want 3", got)
 	}
 }
